@@ -147,40 +147,41 @@ def _equiv_sig(s1: MethodSig, s2: MethodSig, assumed: frozenset) -> bool:
         return s1 == s2
     if len(s1.tparams) != len(s2.tparams) or len(s1.args) != len(s2.args):
         return False
-    # Rename both parameter lists to shared canonical names as we go.
-    for i in range(len(s1.tparams)):
-        tp1, tp2 = s1.tparams[i], s2.tparams[i]
+    s1, s2 = rename_tparams(s1, "%eq"), rename_tparams(s2, "%eq")
+    for tp1, tp2 in zip(s1.tparams, s2.tparams):
         if not _equiv(tp1.lower, tp2.lower, assumed):
             return False
         if not _equiv(tp1.upper, tp2.upper, assumed):
             return False
-        common = f"%eq{i}"
-        if tp1.name != common:
-            s1 = _rename_tparam(s1, i, common)
-        if tp2.name != common:
-            s2 = _rename_tparam(s2, i, common)
     for a1, a2 in zip(s1.args, s2.args):
         if not _equiv_sec(a1, a2, assumed):
             return False
     return _equiv_sec(s1.ret, s2.ret, assumed)
 
 
-def _rename_tparam(sig: GenericSig, i: int, newname: str) -> GenericSig:
-    old = sig.tparams[i].name
-    v = TypeVar(newname)
-    tps = list(sig.tparams)
-    tps[i] = TParam(newname, tps[i].lower, tps[i].upper)
-    for j in range(i + 1, len(tps)):
-        tps[j] = TParam(
-            tps[j].name,
-            subst_type_var(tps[j].lower, v, old),
-            subst_type_var(tps[j].upper, v, old),
+def rename_tparams(sig: GenericSig, prefix: str) -> GenericSig:
+    """Rename type parameter i of `sig` to `prefix` + str(i), in the later
+    parameters' bounds, the arguments and the return; two signatures
+    renamed with one prefix share parameter names."""
+    for i in range(len(sig.tparams)):
+        old, new = sig.tparams[i].name, f"{prefix}{i}"
+        if old == new:
+            continue
+        v = TypeVar(new)
+        tps = list(sig.tparams)
+        tps[i] = TParam(new, tps[i].lower, tps[i].upper)
+        for j in range(i + 1, len(tps)):
+            tps[j] = TParam(
+                tps[j].name,
+                subst_type_var(tps[j].lower, v, old),
+                subst_type_var(tps[j].upper, v, old),
+            )
+        sig = GenericSig(
+            tuple(tps),
+            tuple(subst_type_var(a, v, old) for a in sig.args),
+            subst_type_var(sig.ret, v, old),
         )
-    return GenericSig(
-        tuple(tps),
-        tuple(subst_type_var(a, v, old) for a in sig.args),
-        subst_type_var(sig.ret, v, old),
-    )
+    return sig
 
 
 def _equiv_sec(s1, s2, assumed: frozenset) -> bool:

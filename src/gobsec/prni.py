@@ -749,7 +749,7 @@ def prni_test(
                 gamma2_values=dict(gamma2),
             )
     return NoCounterexample(
-        pairs_tested=config.pairs,
+        pairs_tested=pairs,
         substs_tested=len(substs),
         max_k=config.k,
         seed=config.seed,

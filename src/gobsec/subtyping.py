@@ -19,6 +19,9 @@ Termination comes from an in-flight goal set keyed on canonical forms:
 a goal that recurs inside its own derivation is assumed to hold
 (coinduction), which is exactly what recursive object types need.
 
+The single-facet order of the simple type system is the same algorithm
+run on facet-erased types (see `simple_sub_type`).
+
 Transitivity is not a rule of the algorithm; the oracle implements the
 declarative rules including explicit transitivity over a finite candidate
 pool and is used by the test suite to validate the algorithm on a small
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import meths, type_equiv, unfold
+from .algebra import meths, rename_tparams, soundsig, type_equiv, unfold
 from .syntax import (
     EMPTY_SIGMA,
     TOP,
@@ -44,7 +47,6 @@ from .syntax import (
     SecType,
     SelfVar,
     SubAssumptions,
-    TParam,
     TypeVar,
     TypeVarEnv,
     canon,
@@ -52,7 +54,6 @@ from .syntax import (
     is_top,
     iter_subterms,
     rename_self_var,
-    subst_type_var,
 )
 
 
@@ -113,41 +114,57 @@ def sub_type(
 
 
 def simple_sub_type(t1, t2) -> bool:
-    """Single-facet subtyping: like `sub_type` but security types compare
-    by their safety facets alone, and signature bounds are ignored. This
-    is the order of the simple type system."""
-    return _sub({}, EMPTY_SIGMA, t1, t2, False, SubGoalCache(), 0, simple=True)
+    """Single-facet subtyping, the order of the simple type system: it is
+    `sub_type` on the two types with every declassification facet erased
+    to `Top` and every signature's type parameters dropped. Security types
+    then compare by their safety facets alone, signature bounds play no
+    role, and every signature is sound."""
+    return sub_type({}, EMPTY_SIGMA, _erase(t1), _erase(t2))
 
 
-def _sub(delta, sigma, u1, u2, allow_ig, cache: SubGoalCache, depth: int, simple: bool = False) -> bool:
+def _erase(x):
+    """Forget declassification: `T<U>` becomes `T<Top>` and signatures
+    lose their type parameters, throughout the type. Parameters are first
+    renamed by position, as `type_equiv` does, so alpha-equivalent
+    signatures erase alike."""
+    if isinstance(x, ObjType):
+        return ObjType(x.self_var, tuple((m, _erase(s)) for m, s in x.methods))
+    if isinstance(x, GenericSig):
+        x = rename_tparams(x, "%e")
+        return GenericSig((), tuple(_erase(a) for a in x.args), _erase(x.ret))
+    if isinstance(x, Faceted):
+        return Faceted(_erase(x.safety), TOP)
+    return x
+
+
+def _sub(delta, sigma, u1, u2, allow_ig, cache: SubGoalCache, depth: int) -> bool:
     if type_equiv(u1, u2):
         return True
     if is_top(u2):
         return True
 
-    tag = ("ig" if allow_ig else "sub") + ("-simple" if simple else "")
-    key = _goal_key(delta, sigma, u1, u2, tag)
+    key = _goal_key(delta, sigma, u1, u2, "ig" if allow_ig else "sub")
     if key in cache.in_flight:
         return True
     cache.in_flight.add(key)
     try:
-        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth, simple)
+        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth)
     finally:
         cache.in_flight.discard(key)
 
 
-def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth, simple: bool = False) -> bool:
+def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth) -> bool:
     # Generic variable on the left: through its upper bound.
     if isinstance(u1, TypeVar):
         if u1.name not in delta:
             raise IllFormedInput(f"unbound type variable {u1.name}")
-        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, cache, depth, simple):
+        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, cache, depth):
             return True
     # Generic variable on the right: through its lower bound.
     if isinstance(u2, TypeVar):
         if u2.name not in delta:
             raise IllFormedInput(f"unbound type variable {u2.name}")
-        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, cache, depth, simple)
+        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, cache, depth)
     if isinstance(u1, TypeVar):
         return False
 
@@ -165,20 +182,20 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth, simple: bool = F
         # A primitive interface consists of primitive signatures only, so a
         # standard signature above one is accepted exactly when it is a
         # sound declassification of it.
-        return _sub_record(delta, sigma2, meths(u1.kind), r2, True, cache, depth + 1, simple)
+        return _sub_record(delta, sigma2, meths(u1.kind), r2, True, cache, depth + 1)
 
     if isinstance(u1, ObjType) and isinstance(u2, ObjType):
         alpha, beta = f"%a{depth}", f"%b{depth}"
         r1 = rename_self_var(u1, alpha).methods
         r2 = rename_self_var(u2, beta).methods
         sigma2 = sigma | {(("self", alpha), beta)}
-        if _sub_record(delta, sigma2, r1, r2, allow_ig, cache, depth + 1, simple):
+        if _sub_record(delta, sigma2, r1, r2, allow_ig, cache, depth + 1):
             return True
         # Retry on one-level unfoldings: recovers goals whose left and
         # right mix folded and unfolded spellings of recursive types.
         v1, v2 = unfold(u1), unfold(u2)
         if (canon(v1), canon(v2)) != (canon(u1), canon(u2)):
-            return _sub(delta, sigma, v1, v2, allow_ig, cache, depth, simple)
+            return _sub(delta, sigma, v1, v2, allow_ig, cache, depth)
         return False
 
     # Object type below a primitive kind: no rule.
@@ -197,13 +214,13 @@ def sub_record(
     return _sub_record(delta, sigma, r1, r2, allow_ig, SubGoalCache(), 0)
 
 
-def _sub_record(delta, sigma, r1, r2, allow_ig, cache, depth, simple: bool = False) -> bool:
+def _sub_record(delta, sigma, r1, r2, allow_ig, cache, depth) -> bool:
     left = dict(r1)
     for name, sig2 in r2:
         sig1 = left.get(name)
         if sig1 is None:
             return False
-        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, cache, depth, simple):
+        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, cache, depth):
             return False
     return True
 
@@ -223,50 +240,22 @@ def sub_sig(
     return _sub_sig(delta, sigma, m1, m2, allow_ig, SubGoalCache(), 0)
 
 
-def _sub_sig(delta, sigma, m1, m2, allow_ig, cache, depth, simple: bool = False) -> bool:
+def _sub_sig(delta, sigma, m1, m2, allow_ig, cache, depth) -> bool:
     if isinstance(m1, PrimSig) and isinstance(m2, PrimSig):
         return m1 == m2
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig):
         if not allow_ig:
             return False
-        return _ig_ok(delta, sigma, m1, m2, cache, depth, simple)
+        return _ig_ok(delta, sigma, m1, m2, cache, depth)
     if isinstance(m1, GenericSig) and isinstance(m2, PrimSig):
         return False
-    return _sub_generic(delta, sigma, m1, m2, allow_ig, cache, depth, simple)
+    return _sub_generic(delta, sigma, m1, m2, allow_ig, cache, depth)
 
 
-def _rename_params(sig: GenericSig, names: list[str]) -> GenericSig:
-    for i, n in enumerate(names):
-        old = sig.tparams[i].name
-        if old == n:
-            continue
-        v = TypeVar(n)
-        tps = list(sig.tparams)
-        tps[i] = TParam(n, tps[i].lower, tps[i].upper)
-        for j in range(i + 1, len(tps)):
-            tps[j] = TParam(tps[j].name, subst_type_var(tps[j].lower, v, old), subst_type_var(tps[j].upper, v, old))
-        sig = GenericSig(
-            tuple(tps),
-            tuple(subst_type_var(a, v, old) for a in sig.args),
-            subst_type_var(sig.ret, v, old),
-        )
-    return sig
-
-
-def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, cache, depth, simple: bool = False) -> bool:
-    if len(m1.args) != len(m2.args):
+def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, cache, depth) -> bool:
+    if len(m1.args) != len(m2.args) or len(m1.tparams) != len(m2.tparams):
         return False
-    if simple:
-        # Type parameters and their bounds play no role in the simple order.
-        for a1, a2 in zip(m1.args, m2.args):
-            if not _sub_sectype(delta, sigma, a2, a1, allow_ig, cache, depth, simple):
-                return False
-        return _sub_sectype(delta, sigma, m1.ret, m2.ret, allow_ig, cache, depth, simple)
-    if len(m1.tparams) != len(m2.tparams):
-        return False
-    names = [f"%X{depth}.{i}" for i in range(len(m1.tparams))]
-    m1 = _rename_params(m1, names)
-    m2 = _rename_params(m2, names)
+    m1, m2 = rename_tparams(m1, f"%X{depth}."), rename_tparams(m2, f"%X{depth}.")
     inner = dict(delta)
     for tp1, tp2 in zip(m1.tparams, m2.tparams):
         # Bounds of the supertype must lie inside the bounds of the subtype.
@@ -281,30 +270,25 @@ def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, cache, 
     return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, cache, depth)
 
 
-def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, cache, depth, simple: bool = False) -> bool:
+def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, cache, depth) -> bool:
     """A standard signature declassifying a primitive one: contravariant
     argument safety, covariant return safety, and the signature is sound
-    (public primitive arguments or private return). The simple order keeps
-    the facet comparisons but drops the soundness condition, which speaks
-    about declassification only."""
-    from .algebra import soundsig
-
+    (public primitive arguments or private return)."""
     if len(gen.args) != len(prim.arg_kinds):
         return False
     inner = dict(delta)
-    if not simple:
-        for tp in gen.tparams:
-            inner[tp.name] = (tp.lower, tp.upper)
+    for tp in gen.tparams:
+        inner[tp.name] = (tp.lower, tp.upper)
     for kind, arg in zip(prim.arg_kinds, gen.args):
         if not isinstance(arg, Faceted):
             return False
-        if not _sub(inner, sigma, arg.safety, Prim(kind), True, cache, depth, simple):
+        if not _sub(inner, sigma, arg.safety, Prim(kind), True, cache, depth):
             return False
     if not isinstance(gen.ret, Faceted):
         return False
-    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, cache, depth, simple):
+    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, cache, depth):
         return False
-    return True if simple else soundsig(gen)
+    return soundsig(gen)
 
 
 def sub_sectype(
@@ -319,10 +303,8 @@ def sub_sectype(
     return _sub_sectype(delta, sigma, s1, s2, allow_ig, SubGoalCache(), 0)
 
 
-def _sub_sectype(delta, sigma, s1, s2, allow_ig, cache, depth, simple: bool = False) -> bool:
+def _sub_sectype(delta, sigma, s1, s2, allow_ig, cache, depth) -> bool:
     if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        if simple:
-            return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, cache, depth, True)
         return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, cache, depth) and _sub(
             delta, sigma, s1.decl, s2.decl, allow_ig, cache, depth
         )
@@ -494,8 +476,6 @@ def _derive_record(delta, sigma, r1, r2, budget, pool, memo, ig: bool = False) -
 
 def _derive_sig(delta, sigma, m1, m2, budget, pool, memo, ig: bool = False) -> tuple[bool, bool]:
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig) and ig:
-        from .algebra import soundsig
-
         if len(m2.args) != len(m1.arg_kinds) or not isinstance(m2.ret, Faceted):
             return False, False
         inner = dict(delta)
@@ -518,9 +498,7 @@ def _derive_sig(delta, sigma, m1, m2, budget, pool, memo, ig: bool = False) -> t
         return m1 == m2, False
     if len(m1.tparams) != len(m2.tparams) or len(m1.args) != len(m2.args):
         return False, False
-    names = [f"%oX{budget}.{i}" for i in range(len(m1.tparams))]
-    m1 = _rename_params(m1, names)
-    m2 = _rename_params(m2, names)
+    m1, m2 = rename_tparams(m1, f"%oX{budget}."), rename_tparams(m2, f"%oX{budget}.")
     truncated = False
     inner = dict(delta)
     for tp1, tp2 in zip(m1.tparams, m2.tparams):

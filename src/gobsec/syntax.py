@@ -364,11 +364,6 @@ def _fsv(x: object, bound: frozenset[str], out: set[str]) -> None:
         _fsv(x.decl, bound, out)
 
 
-def is_closed_type(x: object) -> bool:
-    """No free self variables (generic variables may remain)."""
-    return not free_self_vars(x)
-
-
 # ---------------------------------------------------------------------------
 # Substitution: generic type variables
 # ---------------------------------------------------------------------------

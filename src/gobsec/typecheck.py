@@ -18,8 +18,7 @@ well fail security typing - that is what the harness is for).
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     NoSuchMethod,
@@ -71,10 +70,6 @@ class Diagnostic:
         return {"severity": self.severity, "rule": self.rule, "message": self.message, "span": self.span}
 
 
-def diagnostics_to_json(diags: list[Diagnostic]) -> str:
-    return json.dumps([d.to_dict() for d in diags], sort_keys=True)
-
-
 class TypeError_(GobsecError):
     """Security (or simple) typing failure, carrying a diagnostic."""
 
@@ -91,7 +86,6 @@ def _err(rule: str, message: str, span: Span = None) -> TypeError_:
 class CheckerContext:
     delta: TypeVarEnv
     gamma: TermEnv
-    warnings: list[Diagnostic] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,7 @@ def _synth(ctx: CheckerContext, e: Expr) -> Faceted:
         return _synth_if(ctx, e)
     if isinstance(e, Let):
         bound = _synth(ctx, e.bound)
-        inner = CheckerContext(ctx.delta, {**ctx.gamma, e.name: bound}, ctx.warnings)
+        inner = CheckerContext(ctx.delta, {**ctx.gamma, e.name: bound})
         return _synth(inner, e.body)
     raise _err("TVar", f"cannot type {type(e).__name__}", _span(e))
 

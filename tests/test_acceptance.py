@@ -319,6 +319,7 @@ def test_criterion_5_type_equivalence():
         f"published examples plus laws on 10000 samples ({renames} recursive)",
         elapsed,
     )
+    assert elapsed < 300.0, f"equivalence laws took {elapsed:.1f}s (limit 300s)"
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,12 @@ class TestPrniCommand:
         assert payload["verdict"] == "counterexample"
         assert set(payload["witness"]) == {"sigma", "gamma1", "gamma2", "observation", "outputs"}
 
+    def test_closed_program_reports_the_one_trial_it_ran(self, runner):
+        omega = str(corpus_dir() / "omega.gobsec")
+        res = runner.invoke(main, ["prni", omega, "--seed", "1", "--json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["trials"] == 1
+
 
 class TestCorpusCommand:
     def test_shipped_corpus_passes_typing(self, runner):

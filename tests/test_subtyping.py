@@ -3,7 +3,7 @@ agreement with the declarative-search oracle."""
 
 import random
 
-from gobsec.subtyping import declarative_oracle, sub_record, sub_sectype, sub_sig, sub_type
+from gobsec.subtyping import declarative_oracle, simple_sub_type, sub_record, sub_sectype, sub_sig, sub_type
 from gobsec.syntax import (
     EMPTY_SIGMA,
     TOP,
@@ -125,6 +125,58 @@ class TestSubSectype:
     def test_reflexive(self):
         s = Faceted(STRING, STRING_LEN)
         assert sub_sectype({}, EMPTY_SIGMA, s, s)
+
+
+class TestSimpleOrder:
+    """The single-facet order forgets declassification facets and
+    signature type parameters. The first three cases relate types in that
+    order that the security order keeps apart."""
+
+    def test_contravariant_argument_facet_ignored(self):
+        takes_public = ObjType("a", (("m", gsig([public(INT)], public(INT))),))
+        takes_private = ObjType("a", (("m", gsig([Faceted(INT, TOP)], public(INT))),))
+        assert simple_sub_type(takes_public, takes_private)
+        assert not sub_type({}, EMPTY_SIGMA, takes_public, takes_private)
+
+    def test_signature_bounds_ignored(self):
+        wide = GenericSig((TParam("X", STRING, TOP),), (public(STRING),), public(STRING))
+        narrow = GenericSig((TParam("X", STR_FST_LEN, STRING_LEN),), (public(STRING),), public(STRING))
+        with_narrow = ObjType("a", (("m", narrow),))
+        with_wide = ObjType("a", (("m", wide),))
+        assert simple_sub_type(with_narrow, with_wide)
+        assert not sub_type({}, EMPTY_SIGMA, with_narrow, with_wide)
+
+    def test_unsound_signature_above_primitive_accepted(self):
+        # `+` declassifies a private argument into a public result.
+        leaky_plus = ObjType("a", (("+", gsig([Faceted(INT, TOP)], public(INT))),))
+        assert simple_sub_type(INT, leaky_plus)
+        assert not sub_type({}, EMPTY_SIGMA, INT, leaky_plus)
+
+    def test_signatures_differing_only_in_parameter_names(self):
+        # The parameter sits in a safety facet, so erasure keeps it; both
+        # spellings must erase to one type.
+        def uses(name, ret):
+            x = TypeVar(name)
+            return ObjType("a", (("m", GenericSig((TParam(name, INT, TOP),), (Faceted(x, x),), ret)),))
+
+        assert simple_sub_type(uses("X", public(INT)), uses("Y", public(INT)))
+        assert simple_sub_type(uses("X", public(INT)), uses("Y", Faceted(INT, TOP)))
+
+    def test_generic_method_against_its_unfolding(self):
+        from gobsec.algebra import unfold
+
+        x = TypeVar("X")
+        m = GenericSig((TParam("X", INT, TOP),), (Faceted(x, x),), Faceted(SelfVar("s"), TOP))
+        rec = ObjType("s", (("m", m),))
+        assert simple_sub_type(rec, unfold(rec))
+        assert simple_sub_type(unfold(rec), rec)
+
+    def test_security_order_implies_simple_order(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            a, b = random_closed_type(rng, 2), random_closed_type(rng, 2)
+            if sub_type({}, EMPTY_SIGMA, a, b):
+                assert simple_sub_type(a, b), (a, b)
 
 
 class TestProperties:
