@@ -55,34 +55,30 @@ class NotClosed(GobsecError):
 # ---------------------------------------------------------------------------
 
 
-def _psig(args: tuple[str, ...], ret: str) -> PrimSig:
-    return PrimSig(args, ret)
-
-
 #: Interface of each primitive kind; entries are primitive signatures only.
 PRIM_INTERFACES: dict[str, tuple[tuple[str, PrimSig], ...]] = {
     "Int": (
-        ("+", _psig(("Int",), "Int")),
-        ("-", _psig(("Int",), "Int")),
-        ("*", _psig(("Int",), "Int")),
-        ("eq", _psig(("Int",), "Bool")),
-        ("lt", _psig(("Int",), "Bool")),
-        ("gt", _psig(("Int",), "Bool")),
+        ("+", PrimSig(("Int",), "Int")),
+        ("-", PrimSig(("Int",), "Int")),
+        ("*", PrimSig(("Int",), "Int")),
+        ("eq", PrimSig(("Int",), "Bool")),
+        ("lt", PrimSig(("Int",), "Bool")),
+        ("gt", PrimSig(("Int",), "Bool")),
     ),
     "String": (
-        ("concat", _psig(("String",), "String")),
-        ("first", _psig(("Unit",), "String")),
-        ("length", _psig(("Unit",), "Int")),
-        ("eq", _psig(("String",), "Bool")),
-        ("hash", _psig(("Unit",), "Int")),
+        ("concat", PrimSig(("String",), "String")),
+        ("first", PrimSig(("Unit",), "String")),
+        ("length", PrimSig(("Unit",), "Int")),
+        ("eq", PrimSig(("String",), "Bool")),
+        ("hash", PrimSig(("Unit",), "Int")),
     ),
     "Bool": (
-        ("and", _psig(("Bool",), "Bool")),
-        ("or", _psig(("Bool",), "Bool")),
-        ("not", _psig(("Unit",), "Bool")),
-        ("eq", _psig(("Bool",), "Bool")),
+        ("and", PrimSig(("Bool",), "Bool")),
+        ("or", PrimSig(("Bool",), "Bool")),
+        ("not", PrimSig(("Unit",), "Bool")),
+        ("eq", PrimSig(("Bool",), "Bool")),
     ),
-    "Unit": (("eq", _psig(("Unit",), "Bool")),),
+    "Unit": (("eq", PrimSig(("Unit",), "Bool")),),
 }
 
 
@@ -147,7 +143,11 @@ def _equiv_sig(s1: MethodSig, s2: MethodSig, assumed: frozenset) -> bool:
         return s1 == s2
     if len(s1.tparams) != len(s2.tparams) or len(s1.args) != len(s2.args):
         return False
-    s1, s2 = rename_tparams(s1, "%eq"), rename_tparams(s2, "%eq")
+    # One prefix per nesting depth: `assumed` gains one key at every object
+    # type passed on the way here, so an inner signature's parameters never
+    # take the names of an enclosing signature's.
+    prefix = f"%eq{len(assumed)}."
+    s1, s2 = rename_tparams(s1, prefix), rename_tparams(s2, prefix)
     for tp1, tp2 in zip(s1.tparams, s2.tparams):
         if not _equiv(tp1.lower, tp2.lower, assumed):
             return False

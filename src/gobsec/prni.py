@@ -27,7 +27,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from .algebra import has_method, msig, type_equiv
+from .algebra import has_method, in_interval, msig, type_equiv
 from .interp import Stuck, Value, evaluate
 from .parser import SourceProgram, pretty_print
 from .syntax import (
@@ -50,6 +50,7 @@ from .syntax import (
     TypeVarEnv,
     Var,
     canon,
+    canon_expr,
     fresh,
     is_top,
     public,
@@ -94,6 +95,11 @@ def _rng(seed: int, *path) -> random.Random:
 # Configuration and verdicts
 # ---------------------------------------------------------------------------
 
+PROBE_FUEL = 600  # steps per probe evaluation; divergence still relates
+PROBE_BUDGET = 160  # probe evaluations per relatedness check
+TSAMPLES = 2  # type instantiations probed per polymorphic method
+ASAMPLES = 3  # argument tuples probed per instantiation
+
 
 @dataclass
 class PrniConfig:
@@ -102,10 +108,6 @@ class PrniConfig:
     k: int = 6
     fuel: int = 10_000
     seed: int = 0
-    probe_fuel: int = 600  # per probe invocation; divergence still relates
-    probe_budget: int = 160  # evaluations per relatedness check
-    tsamples: int = 2  # type instantiations probed per polymorphic method
-    asamples: int = 3  # argument tuples probed per instantiation
 
 
 @dataclass(frozen=True)
@@ -185,32 +187,42 @@ def verdict_to_json(v: Verdict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) -> list[DeclType]:
+    """The bound endpoints and pool types that lie in `lo .. hi`, without
+    duplicates, in a stable order. A bound that mentions an earlier type
+    parameter (`Y : X .. Top`) is open; candidates that cannot be placed
+    against it are skipped."""
+    cands: list[DeclType] = []
+    seen: set = set()
+    for c in [lo, hi, *pool.values()]:
+        if isinstance(c, TypeVar):
+            continue
+        key = canon(c)
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            if in_interval({}, c, lo, hi):
+                cands.append(c)
+        except GobsecError:
+            continue
+    cands.sort(key=lambda t: str(canon(t)))
+    return cands
+
+
 def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Random) -> dict[str, DeclType]:
     """One substitution in the relational interpretation of `delta`: for
     each variable, a closed type within its bounds, drawn uniformly from
     the bound endpoints and the pool types that fit the interval. Earlier
     choices substitute into later bounds."""
-    from .algebra import in_interval
-
     sigma: dict[str, DeclType] = {}
     for name, (lo, hi) in delta.items():
         for done, actual in sigma.items():
             lo = subst_type_var(lo, actual, done)
             hi = subst_type_var(hi, actual, done)
-        cands: list[DeclType] = []
-        seen: set = set()
-        for c in [lo, hi, *pool.values()]:
-            if isinstance(c, TypeVar):
-                continue
-            key = canon(c)
-            if key in seen:
-                continue
-            seen.add(key)
-            if in_interval({}, c, lo, hi):
-                cands.append(c)
+        cands = _interval_candidates(lo, hi, pool)
         if not cands:
             raise EmptyInterval(f"no candidate type lies within the bounds of {name}")
-        cands.sort(key=lambda t: str(canon(t)))
         sigma[name] = rng.choice(cands)
     return sigma
 
@@ -257,14 +269,9 @@ def _policy_variants(entries: dict[str, tuple[tuple[str, ...], str, Faceted | No
     return keys
 
 
-_INT_EQ = ObjType("a", (("eq", _std([public(Prim("Int"))], public(Prim("Bool")))),))
 _LEN_KEYS = _policy_variants({"length": (("Unit",), "Int", None)})
 _FST_KEYS = _policy_variants({"first": (("Unit",), "String", None)})
 _FSTLEN_KEYS = _policy_variants({"first": (("Unit",), "String", None), "length": (("Unit",), "Int", None)})
-_EQ_KEYS = {
-    kind: _policy_variants({"eq": ((kind,), "Bool", None)}) for kind in ("String", "Int", "Bool")
-}
-_HASHEQ_KEYS = _policy_variants({"hash": (("Unit",), "Int", Faceted(Prim("Int"), _INT_EQ))})
 
 _ALPHABET = "abc"
 
@@ -350,17 +357,9 @@ def _gen_prim_pair(kind: str, u: DeclType, k: int, rng: random.Random, ctx) -> t
             PrimLit(c + _rand_string(rng), "String"),
             PrimLit(c + _rand_string(rng), "String"),
         )
-    if key in _EQ_KEYS.get(kind, set()) or (kind == "String" and key in _HASHEQ_KEYS):
-        # Comparison policies: equal values iff a coin flip; an unequal
-        # proposal survives only if probing cannot tell it apart (it
-        # cannot, for equality policies), otherwise fall back to equal.
-        v1 = _rand_lit(kind, rng)
-        if rng.random() < 0.5:
-            return v1, v1
-        v2 = _rand_lit(kind, rng)
-        return _verified_or_reflexive(v1, v2, Faceted(Prim(kind), u), k, rng, ctx)
-    # Unknown primitive policy: reflexive, or mutate one side and keep the
-    # mutation only when a probe check certifies it.
+    # Any other policy (equality and hash-equality ones included): equal
+    # values on a coin flip; otherwise an independent second value that is
+    # kept only when a probe check certifies it.
     v1 = _rand_lit(kind, rng)
     if rng.random() < 0.5:
         return v1, v1
@@ -371,12 +370,7 @@ def _gen_prim_pair(kind: str, u: DeclType, k: int, rng: random.Random, ctx) -> t
 def _verified_or_reflexive(v1, v2, s: Faceted, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
     if v1 == v2:
         return v1, v1
-    probe_ctx = ProbeContext(
-        fuel=min(ctx.fuel, 600) if ctx else 600,
-        pool=ctx.pool if ctx else {},
-        seed=rng.getrandbits(63),
-        budget=40,
-    )
+    probe_ctx = ProbeContext(pool=ctx.pool if ctx else {}, seed=rng.getrandbits(63), budget=40)
     ok, _ = check_related(min(k, 3), v1, v2, s, probe_ctx)
     if ok:
         return v1, v2
@@ -449,12 +443,9 @@ def _synth_value(t: DeclType, rng: random.Random) -> Expr:
 
 @dataclass
 class ProbeContext:
-    fuel: int = 10_000
     pool: dict[str, DeclType] = field(default_factory=dict)
     seed: int = 0
-    budget: int = 160
-    tsamples: int = 2
-    asamples: int = 3
+    budget: int = PROBE_BUDGET
 
 
 def check_related(
@@ -495,8 +486,8 @@ def check_related(
 
 def _outcomes(v1, v2, name, targs, args1, args2, ctx) -> tuple | None:
     ctx.budget -= 1
-    r1 = evaluate(Invoke(v1, name, targs, tuple(args1)), ctx.fuel)
-    r2 = evaluate(Invoke(v2, name, targs, tuple(args2)), ctx.fuel)
+    r1 = evaluate(Invoke(v1, name, targs, tuple(args1)), PROBE_FUEL)
+    r2 = evaluate(Invoke(v2, name, targs, tuple(args2)), PROBE_FUEL)
     if isinstance(r1, Value) and isinstance(r2, Value):
         return r1.expr, r2.expr
     # Termination-insensitive: a timeout (or stuck probe, possible only on
@@ -562,7 +553,7 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
         for tp, actual in zip(sig.tparams, targs):
             args_types = [subst_type_var(a, actual, tp.name) for a in args_types]
             ret = subst_type_var(ret, actual, tp.name)
-        for ai in range(max(1, ctx.asamples)):
+        for ai in range(ASAMPLES):
             if ctx.budget <= 0:
                 return True, None
             arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
@@ -623,38 +614,15 @@ def _probe_arg_pair(at: Faceted, k: int, rng, ctx, salt: int, receivers: tuple =
 def _probe_key(a: Expr):
     if isinstance(a, PrimLit):
         return ("lit", a.kind, a.value)
-    from .syntax import canon_expr
-
     return ("expr", canon_expr(a))
 
 
 def _sample_instantiations(sig: GenericSig, ctx: ProbeContext, rng) -> list[tuple[DeclType, ...]]:
-    from .algebra import in_interval
-
     if not sig.tparams:
         return [()]
-    per_param: list[list[DeclType]] = []
-    for tp in sig.tparams:
-        # Bounds of closed signatures are closed; variables cannot appear.
-        cands: list[DeclType] = []
-        seen: set = set()
-        for c in [tp.lower, tp.upper, *ctx.pool.values()]:
-            if isinstance(c, TypeVar):
-                continue
-            key = canon(c)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                if in_interval({}, c, tp.lower, tp.upper):
-                    cands.append(c)
-            except GobsecError:
-                continue
-        cands.sort(key=lambda t: str(canon(t)))
-        per_param.append(cands or [tp.upper])
+    per_param = [_interval_candidates(tp.lower, tp.upper, ctx.pool) or [tp.upper] for tp in sig.tparams]
     out: list[tuple[DeclType, ...]] = []
-    count = max(1, ctx.tsamples)
-    for i in range(count):
+    for i in range(TSAMPLES):
         choice = tuple(col[min(i, len(col) - 1)] if i < 2 else rng.choice(col) for col in per_param)
         if choice not in out:
             out.append(choice)
@@ -707,9 +675,7 @@ def prni_test(
         sobserve = apply_subst_sectype(observe_at, sigma)
         gamma1: dict[str, Expr] = {}
         gamma2: dict[str, Expr] = {}
-        gen_ctx = ProbeContext(
-            fuel=config.probe_fuel, pool=pool, seed=_mix(config.seed, "genctx", trial), budget=60
-        )
+        gen_ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "genctx", trial), budget=60)
         for xi, (x, xs) in enumerate(gamma.items()):
             sx = apply_subst_sectype(xs, sigma)
             v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), gen_ctx)
@@ -726,14 +692,7 @@ def prni_test(
             )
         if not (isinstance(r1, Value) and isinstance(r2, Value)):
             continue  # termination-insensitive
-        ctx = ProbeContext(
-            fuel=config.probe_fuel,
-            pool=pool,
-            seed=_mix(config.seed, "check", trial),
-            budget=config.probe_budget,
-            tsamples=config.tsamples,
-            asamples=config.asamples,
-        )
+        ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "check", trial))
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:
             return Counterexample(

@@ -27,7 +27,7 @@ from .algebra import (
     rdecl_many,
     type_equiv,
 )
-from .subtyping import sub_sectype
+from .subtyping import simple_sub_type, sub_sectype
 from .syntax import (
     EMPTY_SIGMA,
     TOP,
@@ -388,12 +388,6 @@ def simple_synth(gamma: TermEnv, e: Expr):
     return _ssynth(dict(gamma), e)
 
 
-def _simple_sub(t1, t2) -> bool:
-    from .subtyping import simple_sub_type
-
-    return simple_sub_type(t1, t2)
-
-
 def _ssynth(gamma: dict, e: Expr):
     if isinstance(e, Var):
         if e.name not in gamma:
@@ -418,7 +412,7 @@ def _ssynth(gamma: dict, e: Expr):
             for p, s in zip(mdef.params, sig.args):
                 inner[p] = s
             got = _ssynth(inner, mdef.body)
-            if not _simple_sub(got, sig.ret.safety):
+            if not simple_sub_type(got, sig.ret.safety):
                 raise _err(
                     "T1Obj",
                     f"body of {mdef.name} has type {_show(got)}, expected {_show(sig.ret.safety)}",
@@ -443,12 +437,12 @@ def _ssynth(gamma: dict, e: Expr):
             raise _err("T1mI", f"method {e.method}: wrong argument count", e.span)
         for arg, want in zip(e.args, sig.args):
             got = _ssynth(gamma, arg)
-            if not _simple_sub(got, want.safety):
+            if not simple_sub_type(got, want.safety):
                 raise _err("T1mI", f"argument of {e.method} has type {_show(got)}, expected {_show(want.safety)}", _span(arg))
         return sig.ret.safety
     if isinstance(e, Ascribe):
         got = _ssynth(gamma, e.expr)
-        if not _simple_sub(got, e.at.safety):
+        if not simple_sub_type(got, e.at.safety):
             raise _err("T1Sub", f"expression has type {_show(got)}, ascribed {_show(e.at.safety)}", e.span)
         return e.at.safety
     if isinstance(e, If):
@@ -457,9 +451,9 @@ def _ssynth(gamma: dict, e: Expr):
             raise _err("T1mI", f"condition must be Bool, got {_show(cond)}", _span(e.cond))
         t = _ssynth(gamma, e.then)
         f = _ssynth(gamma, e.els)
-        if _simple_sub(t, f):
+        if simple_sub_type(t, f):
             return f
-        if _simple_sub(f, t):
+        if simple_sub_type(f, t):
             return t
         raise _err("T1mI", "branch types are unrelated", e.span)
     if isinstance(e, Let):

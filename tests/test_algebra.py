@@ -21,7 +21,10 @@ from gobsec.algebra import (
     unfold,
     upper_bound,
 )
+from gobsec.parser import parse_sectype
+from gobsec.subtyping import sub_type
 from gobsec.syntax import (
+    EMPTY_SIGMA,
     TOP,
     Faceted,
     GenericSig,
@@ -81,6 +84,19 @@ class TestTypeEquiv:
 
     def test_distinct_primitives(self):
         assert not type_equiv(INT, STRING)
+
+    def test_nested_parameter_not_captured(self):
+        # The inner `Int<X>` names the outer method's parameter and `Int<Y>`
+        # the inner method's own; renaming both signatures' parameters to
+        # the same names would identify the two.
+        def mk(facet):
+            inner = f"Obj(b)[ n<Y : Int .. Top> : Int<{facet}> -> Int! ]!"
+            return parse_sectype(f"Obj(r)[ m<X : Int .. Top> : {inner} -> Int! ]!").safety
+
+        outer_ref, inner_ref = mk("X"), mk("Y")
+        assert not type_equiv(outer_ref, inner_ref)
+        assert not sub_type({}, EMPTY_SIGMA, outer_ref, inner_ref)
+        assert not sub_type({}, EMPTY_SIGMA, inner_ref, outer_ref)
 
     def test_laws_on_random_samples(self):
         rng = random.Random(11)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gobsec.parser import parse_program, parse_sectype, pretty_print
+from gobsec.parser import parse_expr, parse_program, parse_sectype, pretty_print
 from gobsec.prni import (
     Counterexample,
     EmptyInterval,
@@ -133,6 +133,16 @@ class TestCheckRelated:
         )
         assert not ok
         assert path[0].method == "first"
+
+    def test_method_with_dependent_bounds_is_probed(self):
+        # `Y`'s lower bound names `X`; pool types that cannot be placed
+        # against the open bound (`Int`) are skipped, and the probe still runs.
+        t = "Obj(a)[ m<X : Int .. Top, Y : X .. Top> : Unit! -> Int! ]!"
+        v1, v2 = (parse_expr(f"new {{ z : {t} m(u) => {n} }}") for n in (1, 2))
+        ctx = ProbeContext(pool={"Int": INT, "Top": TOP}, seed=1)
+        ok, path = check_related(2, v1, v2, parse_sectype(t), ctx)
+        assert not ok
+        assert path[0].method == "m" and len(path[0].targs) == 2
 
     def test_zero_steps_relate_everything(self):
         ok, _ = check_related(0, PrimLit(1, "Int"), PrimLit(2, "Int"), Faceted(INT, INT), ProbeContext(seed=1))

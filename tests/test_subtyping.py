@@ -81,6 +81,23 @@ class TestSubType:
         u2 = ObjType("be", (("m", gsig([public(UNIT_T)], public(TOP))),))
         assert sub_type({}, EMPTY_SIGMA, u1, u2)
 
+    def test_width_below_a_recursive_type_spelled_unfolded(self):
+        # The right side is `Obj(c)[ m : Unit! -> c! ]` with one layer
+        # written out. Comparing the records meets the self variable `a`
+        # against the object type `Obj(c)`, which no rule relates; the
+        # retry on one-level unfoldings, where `a` is replaced by the whole
+        # left type, succeeds.
+        wide = ObjType(
+            "a",
+            (
+                ("m", gsig([public(UNIT_T)], public(SelfVar("a")))),
+                ("n", gsig([public(UNIT_T)], public(INT))),
+            ),
+        )
+        narrow = ObjType("c", (("m", gsig([public(UNIT_T)], public(SelfVar("c")))),))
+        spelled_out = ObjType("b", (("m", gsig([public(UNIT_T)], public(narrow))),))
+        assert sub_type({}, EMPTY_SIGMA, wide, spelled_out)
+
 
 class TestSubRecord:
     def test_width(self):
