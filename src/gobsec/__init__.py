@@ -61,7 +61,7 @@ from .syntax import (
     private,
     subst_self_var,
     subst_term,
-    subst_type_var,
+    subst_type_vars,
 )
 from .typecheck import Diagnostic, TypeError_, sec_check, sec_synth, simple_synth
 from .wellformed import WfIssue, wf_sectype, wf_term_env, wf_tvar_env, wf_type

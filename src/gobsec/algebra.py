@@ -26,7 +26,7 @@ from .syntax import (
     canon,
     is_top,
     subst_self_var,
-    subst_type_var,
+    subst_type_vars,
 )
 
 
@@ -163,25 +163,16 @@ def rename_tparams(sig: GenericSig, prefix: str) -> GenericSig:
     """Rename type parameter i of `sig` to `prefix` + str(i), in the later
     parameters' bounds, the arguments and the return; two signatures
     renamed with one prefix share parameter names."""
-    for i in range(len(sig.tparams)):
-        old, new = sig.tparams[i].name, f"{prefix}{i}"
-        if old == new:
-            continue
-        v = TypeVar(new)
-        tps = list(sig.tparams)
-        tps[i] = TParam(new, tps[i].lower, tps[i].upper)
-        for j in range(i + 1, len(tps)):
-            tps[j] = TParam(
-                tps[j].name,
-                subst_type_var(tps[j].lower, v, old),
-                subst_type_var(tps[j].upper, v, old),
-            )
-        sig = GenericSig(
-            tuple(tps),
-            tuple(subst_type_var(a, v, old) for a in sig.args),
-            subst_type_var(sig.ret, v, old),
-        )
-    return sig
+    sub: dict[str, DeclType] = {}
+    tparams: list[TParam] = []
+    for i, tp in enumerate(sig.tparams):
+        tparams.append(TParam(f"{prefix}{i}", subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)))
+        sub[tp.name] = TypeVar(f"{prefix}{i}")
+    return GenericSig(
+        tuple(tparams),
+        tuple(subst_type_vars(a, sub) for a in sig.args),
+        subst_type_vars(sig.ret, sub),
+    )
 
 
 def _equiv_sec(s1, s2, assumed: frozenset) -> bool:

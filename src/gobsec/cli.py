@@ -198,12 +198,13 @@ def _resolve_seed(seed: int | None) -> int | None:
     if seed is not None:
         return seed
     env = os.environ.get("GOBSEC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            return None
-    return None
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        click.echo(f"GOBSEC_SEED must be an integer, got {env!r}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
 
 
 @main.command("prni")

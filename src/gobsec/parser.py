@@ -56,7 +56,7 @@ from .syntax import (
     free_self_vars,
     is_top,
     rename_self_var,
-    subst_type_var,
+    subst_type_vars,
 )
 
 
@@ -273,7 +273,7 @@ class _Parser:
                         self.err(f"recursive alias {name} must define an object type")
                     binder = fresh(body.self_var)
                     body = rename_self_var(body, binder)
-                    body = subst_type_var(body, SelfVar(binder), marker.name)
+                    body = subst_type_vars(body, {marker.name: SelfVar(binder)})
                 self.aliases[name] = Alias(name, tuple(params), body)
                 prog.aliases[name] = self.aliases[name]
             elif self.at("kw", "tvar"):
@@ -386,10 +386,7 @@ class _Parser:
                 targs = self._targs()
             if len(targs) != len(al.params):
                 self.err(f"alias {name} takes {len(al.params)} type arguments, got {len(targs)}")
-            body = al.body
-            for p, a in zip(al.params, targs):
-                body = subst_type_var(body, a, p.name)
-            return body
+            return subst_type_vars(al.body, {p.name: a for p, a in zip(al.params, targs)})
         if name in self._self_scope:
             return SelfVar(name)
         if name in self._tvar_scope:
@@ -722,16 +719,21 @@ def _pp_type(t, env: dict[str, str]) -> str:
     raise GobsecError(f"cannot print {type(t).__name__}")
 
 
+def _pp_tparams(tparams: tuple[TParam, ...], env: dict[str, str]) -> tuple[str, dict[str, str]]:
+    """`<X : L .. U, ...>` and the environment the parameters scope over."""
+    inner = dict(env)
+    ps = []
+    for tp in tparams:
+        nm = _rename(tp.name, inner, set(inner.values()))
+        inner[tp.name] = nm
+        ps.append(f"{nm} : {_pp_type(tp.lower, inner)} .. {_pp_type(tp.upper, inner)}")
+    return f"<{', '.join(ps)}>", inner
+
+
 def _pp_named_sig(name: str, s, env: dict[str, str]) -> str:
     if isinstance(s, GenericSig) and s.tparams:
-        inner = dict(env)
-        ps = []
-        for tp in s.tparams:
-            nm = _rename(tp.name, inner, set(inner.values()))
-            inner[tp.name] = nm
-            ps.append(f"{nm} : {_pp_type(tp.lower, inner)} .. {_pp_type(tp.upper, inner)}")
-        body = _pp_sig(GenericSig((), s.args, s.ret), inner)
-        return f"{name}<{', '.join(ps)}> : {body}"
+        ps, inner = _pp_tparams(s.tparams, env)
+        return f"{name}{ps} : {_pp_sig(GenericSig((), s.args, s.ret), inner)}"
     return f"{name} : {_pp_sig(s, env)}"
 
 
@@ -743,14 +745,8 @@ def _pp_sig(s, env: dict[str, str]) -> str:
     if s.tparams:
         # Standalone rendering only; in records the parameters attach to
         # the method name (see _pp_named_sig).
-        inner = dict(env)
-        ps = []
-        for tp in s.tparams:
-            nm = _rename(tp.name, inner, set(inner.values()))
-            inner[tp.name] = nm
-            ps.append(f"{nm} : {_pp_type(tp.lower, inner)} .. {_pp_type(tp.upper, inner)}")
-        prefix = f"<{', '.join(ps)}> "
-        env = inner
+        prefix, env = _pp_tparams(s.tparams, env)
+        prefix += " "
     args = " * ".join(_pp_sectype(a, env) for a in s.args)
     ret = _pp_sectype(s.ret, env)
     body = f"{args} -> {ret}" if args else f"-> {ret}"

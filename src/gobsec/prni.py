@@ -55,8 +55,8 @@ from .syntax import (
     is_top,
     public,
     subst_term,
-    subst_type_var,
-    subst_type_var_expr,
+    subst_type_vars,
+    subst_type_vars_expr,
 )
 
 
@@ -189,9 +189,8 @@ def verdict_to_json(v: Verdict) -> str:
 
 def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) -> list[DeclType]:
     """The bound endpoints and pool types that lie in `lo .. hi`, without
-    duplicates, in a stable order. A bound that mentions an earlier type
-    parameter (`Y : X .. Top`) is open; candidates that cannot be placed
-    against it are skipped."""
+    duplicates, in a stable order. Candidates that cannot be placed against
+    an open bound are skipped."""
     cands: list[DeclType] = []
     seen: set = set()
     for c in [lo, hi, *pool.values()]:
@@ -210,33 +209,29 @@ def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) 
     return cands
 
 
+def _choose(bounds: list[tuple[str, DeclType, DeclType]], pool: dict[str, DeclType], pick) -> dict[str, DeclType]:
+    """One type per `(name, lower, upper)` in order: `pick(name, candidates,
+    upper)` chooses among the interval candidates of the bounds with the
+    earlier choices substituted in."""
+    sub: dict[str, DeclType] = {}
+    for name, lo, hi in bounds:
+        lo, hi = subst_type_vars(lo, sub), subst_type_vars(hi, sub)
+        sub[name] = pick(name, _interval_candidates(lo, hi, pool), hi)
+    return sub
+
+
 def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Random) -> dict[str, DeclType]:
     """One substitution in the relational interpretation of `delta`: for
     each variable, a closed type within its bounds, drawn uniformly from
     the bound endpoints and the pool types that fit the interval. Earlier
     choices substitute into later bounds."""
-    sigma: dict[str, DeclType] = {}
-    for name, (lo, hi) in delta.items():
-        for done, actual in sigma.items():
-            lo = subst_type_var(lo, actual, done)
-            hi = subst_type_var(hi, actual, done)
-        cands = _interval_candidates(lo, hi, pool)
+
+    def pick(name: str, cands: list[DeclType], hi: DeclType) -> DeclType:
         if not cands:
             raise EmptyInterval(f"no candidate type lies within the bounds of {name}")
-        sigma[name] = rng.choice(cands)
-    return sigma
+        return rng.choice(cands)
 
-
-def apply_subst_sectype(s: Faceted, sigma: dict[str, DeclType]) -> Faceted:
-    for name, t in sigma.items():
-        s = subst_type_var(s, t, name)
-    return s
-
-
-def apply_subst_expr(e: Expr, sigma: dict[str, DeclType]) -> Expr:
-    for name, t in sigma.items():
-        e = subst_type_var_expr(e, t, name)
-    return e
+    return _choose([(name, lo, hi) for name, (lo, hi) in delta.items()], pool, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +539,11 @@ def _prim_probe_tuples(kinds: tuple[str, ...], v1, v2, rng) -> list[tuple]:
 
 
 def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[bool, list | None]:
-    rng = _rng(ctx.seed, "gen", *[str(p) for p in path], name)
-    insts = _sample_instantiations(sig, ctx, rng)
     tried: set = set()
-    for ti, targs in enumerate(insts):
-        args_types = list(sig.args)
-        ret = sig.ret
-        for tp, actual in zip(sig.tparams, targs):
-            args_types = [subst_type_var(a, actual, tp.name) for a in args_types]
-            ret = subst_type_var(ret, actual, tp.name)
+    for ti, inst in enumerate(_sample_instantiations(sig, ctx)):
+        targs = tuple(inst.values())
+        args_types = [subst_type_vars(a, inst) for a in sig.args]
+        ret = subst_type_vars(sig.ret, inst)
         for ai in range(ASAMPLES):
             if ctx.budget <= 0:
                 return True, None
@@ -570,7 +561,7 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
             if probe_key in tried:
                 continue
             tried.add(probe_key)
-            out = _outcomes(v1, v2, name, tuple(targs), args1, args2, ctx)
+            out = _outcomes(v1, v2, name, targs, args1, args2, ctx)
             if out is None:
                 continue
             r1, r2 = out
@@ -617,15 +608,16 @@ def _probe_key(a: Expr):
     return ("expr", canon_expr(a))
 
 
-def _sample_instantiations(sig: GenericSig, ctx: ProbeContext, rng) -> list[tuple[DeclType, ...]]:
-    if not sig.tparams:
-        return [()]
-    per_param = [_interval_candidates(tp.lower, tp.upper, ctx.pool) or [tp.upper] for tp in sig.tparams]
-    out: list[tuple[DeclType, ...]] = []
+def _sample_instantiations(sig: GenericSig, ctx: ProbeContext) -> list[dict[str, DeclType]]:
+    """Up to TSAMPLES instantiations of `sig`'s type parameters: the i-th
+    takes each parameter's i-th interval candidate (or its last), falling
+    back to the upper bound when no candidate fits."""
+    bounds = [(tp.name, tp.lower, tp.upper) for tp in sig.tparams]
+    out: list[dict[str, DeclType]] = []
     for i in range(TSAMPLES):
-        choice = tuple(col[min(i, len(col) - 1)] if i < 2 else rng.choice(col) for col in per_param)
-        if choice not in out:
-            out.append(choice)
+        inst = _choose(bounds, ctx.pool, lambda _, cands, hi: cands[min(i, len(cands) - 1)] if cands else hi)
+        if inst not in out:
+            out.append(inst)
     return out
 
 
@@ -671,13 +663,13 @@ def prni_test(
         pairs = min(pairs, 1)  # a closed program runs deterministically
     for trial in range(pairs):
         sigma = substs[trial % len(substs)]
-        sbody = apply_subst_expr(body, sigma)
-        sobserve = apply_subst_sectype(observe_at, sigma)
+        sbody = subst_type_vars_expr(body, sigma)
+        sobserve = subst_type_vars(observe_at, sigma)
         gamma1: dict[str, Expr] = {}
         gamma2: dict[str, Expr] = {}
         gen_ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "genctx", trial), budget=60)
         for xi, (x, xs) in enumerate(gamma.items()):
-            sx = apply_subst_sectype(xs, sigma)
+            sx = subst_type_vars(xs, sigma)
             v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), gen_ctx)
             gamma1[x] = v1
             gamma2[x] = v2

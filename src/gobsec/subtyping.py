@@ -49,6 +49,8 @@ from .syntax import (
     SubAssumptions,
     TypeVar,
     TypeVarEnv,
+    assume_prim,
+    assume_self,
     canon,
     canon_delta,
     is_top,
@@ -178,7 +180,7 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth) -> bool:
             return False  # distinct kinds; equal kinds were caught by equivalence
         beta = f"%b{depth}"
         r2 = rename_self_var(u2, beta).methods
-        sigma2 = sigma | {(("prim", u1.kind), beta)}
+        sigma2 = assume_prim(sigma, u1.kind, beta)
         # A primitive interface consists of primitive signatures only, so a
         # standard signature above one is accepted exactly when it is a
         # sound declassification of it.
@@ -188,7 +190,7 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth) -> bool:
         alpha, beta = f"%a{depth}", f"%b{depth}"
         r1 = rename_self_var(u1, alpha).methods
         r2 = rename_self_var(u2, beta).methods
-        sigma2 = sigma | {(("self", alpha), beta)}
+        sigma2 = assume_self(sigma, alpha, beta)
         if _sub_record(delta, sigma2, r1, r2, allow_ig, cache, depth + 1):
             return True
         # Retry on one-level unfoldings: recovers goals whose left and
@@ -441,7 +443,7 @@ def _derive_base(delta, sigma, u1, u2, budget, pool, memo) -> tuple[bool, bool]:
         r1 = rename_self_var(u1, alpha).methods
         r2 = rename_self_var(u2, beta).methods
         ok, tr = _derive_record(
-            delta, sigma | {(("self", alpha), beta)}, r1, r2, budget - 1, pool, memo, ig=False
+            delta, assume_self(sigma, alpha, beta), r1, r2, budget - 1, pool, memo, ig=False
         )
         truncated |= tr
         if ok:
@@ -452,7 +454,7 @@ def _derive_base(delta, sigma, u1, u2, budget, pool, memo) -> tuple[bool, bool]:
         beta = f"%ob{budget}"
         r2 = rename_self_var(u2, beta).methods
         ok, tr = _derive_record(
-            delta, sigma | {(("prim", u1.kind), beta)}, meths(u1.kind), r2, budget - 1, pool, memo, ig=True
+            delta, assume_prim(sigma, u1.kind, beta), meths(u1.kind), r2, budget - 1, pool, memo, ig=True
         )
         truncated |= tr
         if ok:

@@ -369,100 +369,83 @@ def _fsv(x: object, bound: frozenset[str], out: set[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def subst_type_var(target, actual: DeclType, name: str):
-    """Replace free occurrences of generic variable `name` by `actual`.
+def subst_type_vars(target, sub: Mapping[str, DeclType]):
+    """Simultaneously replace the free occurrences of each generic variable
+    named in `sub` by its image.
 
-    `actual` must be closed with respect to self variables. Signature type
-    parameters that would capture a free variable of `actual` are renamed.
-    Total; returns the same node kind as `target`.
+    Images must be closed with respect to self variables. Signature type
+    parameters that would capture a free variable of an image are renamed.
+    An empty mapping returns `target` itself. Total; returns the same node
+    kind as `target`.
     """
-    return _stv(target, actual, name)
+    if not sub:
+        return target
+    if isinstance(target, TypeVar):
+        return sub.get(target.name, target)
+    if isinstance(target, (Prim, SelfVar, PrimSig, PrimStar)):
+        return target
+    if isinstance(target, ObjType):
+        new = tuple((m, subst_type_vars(s, sub)) for m, s in target.methods)
+        return target if new == target.methods else ObjType(target.self_var, new)
+    if isinstance(target, Faceted):
+        return Faceted(subst_type_vars(target.safety, sub), subst_type_vars(target.decl, sub))
+    if isinstance(target, GenericSig):
+        return _stv_sig(target, sub)
+    raise GobsecError(f"cannot substitute type variable in {type(target).__name__}")
 
 
-def _stv(x, actual: DeclType, name: str):
-    if isinstance(x, TypeVar):
-        return actual if x.name == name else x
-    if isinstance(x, (Prim, SelfVar, PrimSig, PrimStar)):
-        return x
-    if isinstance(x, ObjType):
-        new = tuple((m, _stv(s, actual, name)) for m, s in x.methods)
-        return x if new == x.methods else ObjType(x.self_var, new)
-    if isinstance(x, Faceted):
-        return Faceted(_stv(x.safety, actual, name), _stv(x.decl, actual, name))
-    if isinstance(x, GenericSig):
-        return _stv_sig(x, actual, name)
-    raise GobsecError(f"cannot substitute type variable in {type(x).__name__}")
-
-
-def _stv_sig(sig: GenericSig, actual: DeclType, name: str) -> GenericSig:
-    captured = free_type_vars(actual)
+def _stv_sig(sig: GenericSig, sub: Mapping[str, DeclType]) -> GenericSig:
+    sub = dict(sub)
     tparams: list[TParam] = []
-    shadowed = False
-    rest_args, rest_ret = sig.args, sig.ret
-    later: list[TParam] = list(sig.tparams)
-    while later:
-        tp = later.pop(0)
-        lo = tp.lower if shadowed else _stv(tp.lower, actual, name)
-        hi = tp.upper if shadowed else _stv(tp.upper, actual, name)
-        if tp.name == name:
-            # Inner binder shadows the substituted variable from here on.
-            tparams.append(TParam(tp.name, lo, hi))
-            shadowed = True
-            continue
-        if not shadowed and tp.name in captured:
-            # Rename this parameter to avoid capturing a variable of `actual`.
-            newname = fresh(tp.name)
-            renamer = TypeVar(newname)
-            later = [
-                TParam(q.name, _stv(q.lower, renamer, tp.name), _stv(q.upper, renamer, tp.name))
-                for q in later
-            ]
-            rest_args = tuple(_stv(a, renamer, tp.name) for a in rest_args)
-            rest_ret = _stv(rest_ret, renamer, tp.name)
-            tparams.append(TParam(newname, lo, hi))
-            continue
-        tparams.append(TParam(tp.name, lo, hi))
-    if shadowed:
-        return GenericSig(tuple(tparams), rest_args, rest_ret)
+    for tp in sig.tparams:
+        lo, hi = subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)
+        # The parameter shadows its own name from here on.
+        sub.pop(tp.name, None)
+        name = tp.name
+        if any(name in free_type_vars(v) for v in sub.values()):
+            # Rename it rather than capture a variable of an image.
+            name = fresh(name)
+            sub[tp.name] = TypeVar(name)
+        tparams.append(TParam(name, lo, hi))
     return GenericSig(
         tuple(tparams),
-        tuple(_stv(a, actual, name) for a in rest_args),
-        _stv(rest_ret, actual, name),
+        tuple(subst_type_vars(a, sub) for a in sig.args),
+        subst_type_vars(sig.ret, sub),
     )
 
 
-def subst_type_var_expr(e: Expr, actual: DeclType, name: str) -> Expr:
-    """Replace a generic variable inside a term's type annotations and
-    type-argument lists. Used when applying a type substitution to a program.
+def subst_type_vars_expr(e: Expr, sub: Mapping[str, DeclType]) -> Expr:
+    """`subst_type_vars` through a term's type annotations and type-argument
+    lists. Used when applying a type substitution to a program.
     """
-    if isinstance(e, (Var, PrimLit)):
+    if not sub or isinstance(e, (Var, PrimLit)):
         return e
     if isinstance(e, ObjectLit):
         return ObjectLit(
             e.self_name,
-            _stv(e.sectype, actual, name),
-            tuple(MethodDef(m.name, m.params, subst_type_var_expr(m.body, actual, name)) for m in e.methods),
+            subst_type_vars(e.sectype, sub),
+            tuple(MethodDef(m.name, m.params, subst_type_vars_expr(m.body, sub)) for m in e.methods),
             e.span,
         )
     if isinstance(e, Invoke):
         return Invoke(
-            subst_type_var_expr(e.recv, actual, name),
+            subst_type_vars_expr(e.recv, sub),
             e.method,
-            tuple(_stv(t, actual, name) for t in e.targs),
-            tuple(subst_type_var_expr(a, actual, name) for a in e.args),
+            tuple(subst_type_vars(t, sub) for t in e.targs),
+            tuple(subst_type_vars_expr(a, sub) for a in e.args),
             e.span,
         )
     if isinstance(e, Ascribe):
-        return Ascribe(subst_type_var_expr(e.expr, actual, name), _stv(e.at, actual, name), e.span)
+        return Ascribe(subst_type_vars_expr(e.expr, sub), subst_type_vars(e.at, sub), e.span)
     if isinstance(e, If):
         return If(
-            subst_type_var_expr(e.cond, actual, name),
-            subst_type_var_expr(e.then, actual, name),
-            subst_type_var_expr(e.els, actual, name),
+            subst_type_vars_expr(e.cond, sub),
+            subst_type_vars_expr(e.then, sub),
+            subst_type_vars_expr(e.els, sub),
             e.span,
         )
     if isinstance(e, Let):
-        return Let(e.name, subst_type_var_expr(e.bound, actual, name), subst_type_var_expr(e.body, actual, name), e.span)
+        return Let(e.name, subst_type_vars_expr(e.bound, sub), subst_type_vars_expr(e.body, sub), e.span)
     raise GobsecError(f"unknown expression {type(e).__name__}")
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .algebra import (
     NoSuchMethod,
     has_method,
+    in_interval,
     msig,
     rdecl_many,
     type_equiv,
@@ -50,7 +51,7 @@ from .syntax import (
     TypeVar,
     TypeVarEnv,
     Var,
-    subst_type_var,
+    subst_type_vars,
 )
 from .wellformed import WfIssue, wf_sectype
 
@@ -289,29 +290,20 @@ def _invoke_generic(ctx: CheckerContext, e: Invoke, sig: GenericSig, declassifie
 def _instantiate(
     ctx: CheckerContext, e: Invoke, sig: GenericSig, targs: list[DeclType], rule: str
 ) -> tuple[list[Faceted], Faceted]:
-    """Check type arguments against their (partially substituted) bounds
-    and substitute them through the argument and return types."""
-    args = list(sig.args)
-    ret = sig.ret
-    pending = list(zip(sig.tparams, targs))
-    done: list[tuple[str, DeclType]] = []
-    for (tp, actual) in pending:
-        lo, hi = tp.lower, tp.upper
-        for name, a in done:
-            lo = subst_type_var(lo, a, name)
-            hi = subst_type_var(hi, a, name)
-        from .algebra import in_interval
-
+    """Check each type argument against its bounds, with the earlier
+    arguments substituted in, then substitute all of them through the
+    argument and return types at once."""
+    sub: dict[str, DeclType] = {}
+    for tp, actual in zip(sig.tparams, targs):
+        lo, hi = subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)
         if not in_interval(ctx.delta, actual, lo, hi):
             raise _err(
                 f"{rule}/BoundViolation",
                 f"type argument {_show(actual)} for {tp.name} is not within {_show(lo)} .. {_show(hi)}",
                 e.span,
             )
-        done.append((tp.name, actual))
-        args = [subst_type_var(a, actual, tp.name) for a in args]
-        ret = subst_type_var(ret, actual, tp.name)
-    return args, ret
+        sub[tp.name] = actual
+    return [subst_type_vars(a, sub) for a in sig.args], subst_type_vars(sig.ret, sub)
 
 
 def _infer_targs(

@@ -130,6 +130,14 @@ class TestPrniCommand:
         res = runner.invoke(main, ["prni", f, "--observe", "String!", "--pairs", "50"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("command", ["prni", "corpus"])
+    def test_non_integer_seed_from_environment_exit_2(self, runner, write, monkeypatch, tmp_path, command):
+        monkeypatch.setenv("GOBSEC_SEED", "4x2")
+        f = write("login.gobsec", LOGIN + "expect secure at String!\n")
+        res = runner.invoke(main, [command, f if command == "prni" else str(tmp_path)])
+        assert res.exit_code == 2
+        assert "GOBSEC_SEED" in res.stderr and "'4x2'" in res.stderr
+
     def test_json_is_seed_deterministic(self, runner, write):
         src = "var h : String?\nh"
         f = write("leak.gobsec", src)

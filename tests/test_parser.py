@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gobsec.algebra import type_equiv
 from gobsec.cli import corpus_dir
 from gobsec.parser import (
     ParseError,
@@ -21,6 +22,7 @@ from gobsec.syntax import (
     ObjType,
     Prim,
     SelfVar,
+    TypeVar,
     Var,
     alpha_eq,
     alpha_eq_expr,
@@ -67,6 +69,21 @@ class TestParseProgram:
         )
         t = p.vars["x"].safety
         assert is_top(t.sig("h").ret.decl)
+
+    def test_alias_arguments_substitute_simultaneously(self):
+        # The first argument names the tvar `B`, which the alias's second
+        # parameter is also called; `f` must keep `Int<B>`.
+        def expand(second: str):
+            p = parse_program(
+                f"type P<A : Int .. Top, {second} : Int .. Top> = "
+                f"Obj(a)[ f : Unit! -> Int<A>, g : Unit! -> Int<{second}> ]\n"
+                "tvar B : Int .. Top\nvar x : P<B, Top>!\nx"
+            )
+            return p.vars["x"].safety
+
+        t = expand("B")
+        assert t.sig("f").ret.decl == TypeVar("B")
+        assert type_equiv(t, expand("C"))
 
     def test_alias_arity_error(self):
         with pytest.raises(ParseError):

@@ -135,14 +135,18 @@ class TestCheckRelated:
         assert path[0].method == "first"
 
     def test_method_with_dependent_bounds_is_probed(self):
-        # `Y`'s lower bound names `X`; pool types that cannot be placed
-        # against the open bound (`Int`) are skipped, and the probe still runs.
-        t = "Obj(a)[ m<X : Int .. Top, Y : X .. Top> : Unit! -> Int! ]!"
-        v1, v2 = (parse_expr(f"new {{ z : {t} m(u) => {n} }}") for n in (1, 2))
-        ctx = ProbeContext(pool={"Int": INT, "Top": TOP}, seed=1)
-        ok, path = check_related(2, v1, v2, parse_sectype(t), ctx)
-        assert not ok
-        assert path[0].method == "m" and len(path[0].targs) == 2
+        # A bound of `Y` names `X`: each instantiation substitutes its choice
+        # for `X` into `Y`'s bounds before choosing `Y`, so the probe runs at
+        # closed types (`X := Int` makes the second method's result public).
+        for t in (
+            "Obj(a)[ m<X : Int .. Top, Y : X .. Top> : Unit! -> Int! ]!",
+            "Obj(a)[ m<X : Int .. Top, Y : Int .. X> : Unit! -> Int<Y> ]!",
+        ):
+            v1, v2 = (parse_expr(f"new {{ z : {t} m(u) => {n} }}") for n in (1, 2))
+            ctx = ProbeContext(pool={"Int": INT, "Top": TOP}, seed=1)
+            ok, path = check_related(2, v1, v2, parse_sectype(t), ctx)
+            assert not ok, t
+            assert path[0].method == "m" and len(path[0].targs) == 2
 
     def test_zero_steps_relate_everything(self):
         ok, _ = check_related(0, PrimLit(1, "Int"), PrimLit(2, "Int"), Faceted(INT, INT), ProbeContext(seed=1))
@@ -200,9 +204,9 @@ class TestPrniTest:
         v = prni_test(p, parse_sectype("String!"), self.cfg(pairs=1000))
         assert isinstance(v, Counterexample)
         from gobsec.interp import evaluate
-        from gobsec.prni import apply_subst_expr
+        from gobsec.syntax import subst_type_vars_expr
 
-        body = apply_subst_expr(p.body, v.sigma_types)
+        body = subst_type_vars_expr(p.body, v.sigma_types)
         out1 = evaluate(subst_term(body, v.gamma1_values))
         out2 = evaluate(subst_term(body, v.gamma2_values))
         assert pretty_print(out1.expr) != pretty_print(out2.expr)

@@ -28,10 +28,10 @@ from gobsec.syntax import (
     public,
     subst_self_var,
     subst_term,
-    subst_type_var,
+    subst_type_vars,
 )
 
-from conftest import STRING_LEN, random_closed_type, random_sectype
+from conftest import INT, STRING_LEN, random_closed_type, random_sectype
 
 STRING = Prim("String")
 
@@ -39,11 +39,11 @@ STRING = Prim("String")
 class TestSubstTypeVar:
     def test_direct_replacement(self):
         s = Faceted(STRING, TypeVar("X"))
-        assert subst_type_var(s, STRING_LEN, "X") == Faceted(STRING, STRING_LEN)
+        assert subst_type_vars(s, {"X": STRING_LEN}) == Faceted(STRING, STRING_LEN)
 
     def test_other_variable_untouched(self):
         s = Faceted(STRING, TypeVar("Y"))
-        assert subst_type_var(s, STRING_LEN, "X") == s
+        assert subst_type_vars(s, {"X": STRING_LEN}) == s
 
     def test_shadowed_by_signature_binder(self):
         sig = GenericSig(
@@ -52,7 +52,23 @@ class TestSubstTypeVar:
             Faceted(STRING, TypeVar("X")),
         )
         # The inner X is bound by the signature; substitution must not touch it.
-        assert subst_type_var(sig, STRING_LEN, "X") == sig
+        assert subst_type_vars(sig, {"X": STRING_LEN}) == sig
+
+    def test_empty_mapping_returns_the_target(self):
+        sig = GenericSig((TParam("X", STRING, TOP),), (Faceted(STRING, TypeVar("Y")),), public(STRING))
+        assert subst_type_vars(sig, {}) is sig
+
+    def test_simultaneous_images_are_not_substituted_again(self):
+        s = Faceted(INT, TypeVar("X"))
+        assert subst_type_vars(s, {"X": TypeVar("Y"), "Y": INT}) == Faceted(INT, TypeVar("Y"))
+
+    def test_parameter_capturing_an_image_is_renamed(self):
+        # <Y : Int .. Top> : Int<X> -> Int<Y> with X := Y must not bind
+        # the image Y to the parameter.
+        sig = GenericSig((TParam("Y", INT, TOP),), (Faceted(INT, TypeVar("X")),), Faceted(INT, TypeVar("Y")))
+        got = subst_type_vars(sig, {"X": TypeVar("Y"), "Z": INT})
+        want = GenericSig((TParam("W", INT, TOP),), (Faceted(INT, TypeVar("Y")),), Faceted(INT, TypeVar("W")))
+        assert alpha_eq(got, want)
 
     def test_shadowing_matches_naive_substitution_with_shadow_set(self):
         # Independent oracle: a naive recursive substitution carrying an
@@ -85,7 +101,7 @@ class TestSubstTypeVar:
         for _ in range(300):
             t = random_closed_type(rng, 2)
             holes = rng.choice(["X", "Y"])
-            got = subst_type_var(t, STRING_LEN, holes)
+            got = subst_type_vars(t, {holes: STRING_LEN})
             want = naive(t, STRING_LEN, holes, set())
             assert canon(got) == canon(want)
 
@@ -97,13 +113,13 @@ class TestSubstTypeVar:
         s = random_sectype(rng, 2, ())
         u_prime = random_closed_type(rng, 1)
         sigma_img = random_closed_type(rng, 1)
-        lhs = subst_type_var(subst_type_var(s, u_prime, "X"), sigma_img, "Y")
-        rhs = subst_type_var(
-            subst_type_var(s, sigma_img, "Y"),
-            subst_type_var(u_prime, sigma_img, "Y"),
-            "X",
-        )
+        lhs = subst_type_vars(subst_type_vars(s, {"X": u_prime}), {"Y": sigma_img})
+        sigma_u = subst_type_vars(u_prime, {"Y": sigma_img})
+        rhs = subst_type_vars(subst_type_vars(s, {"Y": sigma_img}), {"X": sigma_u})
         assert canon(lhs) == canon(rhs)
+        # The same in one simultaneous substitution.
+        both = subst_type_vars(s, {"X": sigma_u, "Y": sigma_img})
+        assert canon(both) == canon(lhs)
 
 
 class TestSubstSelfVar:

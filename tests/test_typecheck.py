@@ -112,6 +112,26 @@ new { lib : Obj(b)[ use<Y : StrFstLen .. StringLen> : String<Y> -> Int! ]!
             sec_synth(p.tvars, p.vars, p.body)
         assert "BoundViolation" in exc.value.diag.rule
 
+    def test_type_arguments_substitute_simultaneously(self):
+        # The first type argument names the outer `Z`; the second parameter
+        # is also called `Z`, and must not capture it. The program is
+        # rejected exactly as its twin with that parameter renamed to `W`.
+        src = """
+type IntAdd = Obj(a)[ + : Int! -> Int! ]
+tvar Z : Int .. IntAdd
+var s : Int?
+new {{ o : Obj(b)[ m<Y : Int .. IntAdd, {p} : Int .. Top> : Int<{p}> * Int<Y> -> Int! ]!
+  m(c, a) => a.+(0)
+}}.m<Z, Top>(1, s)
+"""
+        diags = []
+        for param in ("Z", "W"):
+            with pytest.raises(TypeError_) as exc:
+                synth(src.format(p=param))
+            diags.append(exc.value.diag)
+        assert diags[0] == diags[1]
+        assert diags[0].rule == "TmD/ArgMismatch" and "expected Int<Z>" in diags[0].message
+
     def test_missing_method_reported(self):
         with pytest.raises(TypeError_) as exc:
             synth("var x : String!\nx.frobnicate()")

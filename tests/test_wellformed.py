@@ -95,7 +95,7 @@ class TestFacetStability:
         import random
 
         from gobsec.prni import sample_subst
-        from gobsec.syntax import subst_type_var
+        from gobsec.syntax import subst_type_vars
 
         delta = {"X": (STR_FST_LEN, STRING_LEN)}
         s = Faceted(STRING, TypeVar("X"))
@@ -103,7 +103,7 @@ class TestFacetStability:
         pool = {"StrFstLen": STR_FST_LEN, "StringLen": STRING_LEN, "Top": TOP}
         for seed in range(25):
             sigma = sample_subst(delta, pool, random.Random(seed))
-            inst = subst_type_var(s, sigma["X"], "X")
+            inst = subst_type_vars(s, sigma)
             assert wf_sectype({}, inst)
 
 
