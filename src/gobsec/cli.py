@@ -5,7 +5,8 @@ Exit codes are a stable contract:
 
     0  success (well-typed / value / no counterexample / corpus passed)
     1  security type error (or corpus mismatch)
-    2  parse, well-formedness, input, or configuration error
+    2  parse, well-formedness, input, or configuration error (input that
+       nests too deeply included)
     3  evaluation timed out
     4  evaluation got stuck
     5  a noninterference counterexample was found
@@ -43,13 +44,28 @@ EXIT_TIMEOUT = 3
 EXIT_STUCK = 4
 EXIT_COUNTEREXAMPLE = 5
 
+POSITIVE = click.IntRange(min=1)
+
 
 def corpus_dir() -> Path:
     """Location of the corpus shipped inside the package."""
     return Path(str(resources.files("gobsec") / "corpus"))
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: input that nests past Python's recursion limit
+    (deep parentheses, long receiver chains, deep evaluation) is a bad
+    input, not a crash."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            click.echo("input nests too deeply", err=True)
+            sys.exit(EXIT_BAD_INPUT)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Typecheck, run, and differentially test GObSec programs."""
 
@@ -126,7 +142,7 @@ def cmd_check(file: str, simple_only: bool, as_json: bool) -> None:
 @main.command("run")
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--input", "inputs", multiple=True, metavar="NAME=EXPR", help="Value for a declared variable.")
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True, help="Step budget.")
+@click.option("--fuel", default=DEFAULT_FUEL, show_default=True, type=POSITIVE, help="Step budget.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_run(file: str, inputs: tuple[str, ...], fuel: int, as_json: bool) -> None:
     """Evaluate FILE's body with --input values bound to its variables."""
@@ -210,10 +226,10 @@ def _resolve_seed(seed: int | None) -> int | None:
 @main.command("prni")
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--observe", "observe", default=None, metavar="SECTYPE", help="Observation type (defaults to the synthesized type of the body).")
-@click.option("--pairs", default=1000, show_default=True)
-@click.option("--substs", default=10, show_default=True)
-@click.option("--k", "k", default=6, show_default=True, help="Observation depth.")
-@click.option("--fuel", default=10_000, show_default=True)
+@click.option("--pairs", default=1000, show_default=True, type=POSITIVE)
+@click.option("--substs", default=10, show_default=True, type=POSITIVE)
+@click.option("--k", "k", default=6, show_default=True, type=POSITIVE, help="Observation depth.")
+@click.option("--fuel", default=10_000, show_default=True, type=POSITIVE)
 @click.option("--seed", default=None, type=int, help="Required (or set GOBSEC_SEED).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fuel: int, seed: int | None, as_json: bool) -> None:
@@ -339,7 +355,7 @@ def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int
             return CorpusResult(name, kind, True, "rejected by the checker (differential test skipped)")
         verdict = prni_test(prog, target, PrniConfig(pairs=pairs, seed=seed))
         if isinstance(verdict, NoCounterexample):
-            return CorpusResult(name, kind, False, f"no counterexample found in {pairs} pairs")
+            return CorpusResult(name, kind, False, f"no counterexample found in {verdict.pairs_tested} pairs")
         return CorpusResult(name, kind, True, f"counterexample at trial {verdict.trial}")
     return CorpusResult(name, kind, False, f"unknown expectation {kind}")
 
@@ -348,7 +364,7 @@ def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int
 @click.argument("directory", type=click.Path(exists=True, file_okay=False), required=False)
 @click.option("--seed", default=None, type=int)
 @click.option("--typing-only", is_flag=True, help="Check expectations by typing alone (fast).")
-@click.option("--pairs", default=1000, show_default=True)
+@click.option("--pairs", default=1000, show_default=True, type=POSITIVE)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_corpus(directory: str | None, seed: int | None, typing_only: bool, pairs: int, as_json: bool) -> None:
     """Run every .gobsec file in DIRECTORY (default: the shipped corpus)

@@ -12,6 +12,15 @@ policies, the harness
 4. probes the two results at the observation type, method by method,
    recursively, with the step index bounding observation depth.
 
+Every policy is read once, the way a public observer can use it: at
+`T<U>` the observer calls exactly `U`'s methods, and a primitive
+signature `P1<*> * ... -> R<*>` is the standard signature
+`P1! * ... -> R!` (`_observable`), so there is one probe path. Object
+inputs are built from the same relation: a method in `U` answers with
+related results, a method only in `T` with independent ones, and at step
+index 0 every method diverges. List-shaped objects keep a generator of
+their own (structurally parallel lists).
+
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
 substitutions, and the distinguishing observation path). Exhausting the
@@ -22,12 +31,13 @@ Timeouts never distinguish: the property is termination-insensitive.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import zlib
 from dataclasses import dataclass, field
 
-from .algebra import has_method, in_interval, msig, type_equiv
+from .algebra import has_method, in_interval, msig, prim_sig, type_equiv
 from .interp import Stuck, Value, evaluate
 from .parser import SourceProgram, pretty_print
 from .syntax import (
@@ -40,6 +50,7 @@ from .syntax import (
     GobsecError,
     Invoke,
     MethodDef,
+    MethodSig,
     ObjType,
     ObjectLit,
     Prim,
@@ -235,38 +246,34 @@ def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Rando
 
 
 # ---------------------------------------------------------------------------
-# Known-policy recognition
+# The observer's view of a policy
 # ---------------------------------------------------------------------------
 
 
-def _std(args: list[Faceted], ret: Faceted) -> GenericSig:
-    return GenericSig((), tuple(args), ret)
+def _observable(sig: MethodSig) -> GenericSig:
+    """`sig` as a public observer can use it. A primitive signature
+    `P1<*> * ... -> R<*>` called at public arguments has a public result,
+    so it reads as the standard signature `P1! * ... -> R!`."""
+    if isinstance(sig, PrimSig):
+        return GenericSig((), tuple(public(Prim(k)) for k in sig.arg_kinds), public(Prim(sig.ret_kind)))
+    return sig
 
 
-def _policy_variants(entries: dict[str, tuple[tuple[str, ...], str, Faceted | None]]) -> set:
-    """Canonical keys for every standard/primitive spelling combination of
-    a policy's methods. `entries` maps method -> (arg kinds, ret kind,
-    explicit standard return or None for the public one)."""
-    import itertools as it
-
-    names = sorted(entries)
-    options = []
-    for m in names:
-        argks, retk, ret_std = entries[m]
-        std = _std([public(Prim(k)) for k in argks], ret_std if ret_std is not None else public(Prim(retk)))
-        alts = [std]
-        if ret_std is None:
-            alts.append(PrimSig(argks, retk))
-        options.append([(m, sig) for sig in alts])
-    keys = set()
-    for combo in it.product(*options):
-        keys.add(canon(ObjType("a", tuple(combo))))
-    return keys
+@functools.lru_cache(maxsize=1024)
+def _policy_key(u: ObjType) -> tuple:
+    """Canonical key of the policy `u` with every method read through
+    `_observable`, so both spellings of a policy share one key."""
+    return canon(ObjType(u.self_var, tuple((m, _observable(sig)) for m, sig in u.methods)))
 
 
-_LEN_KEYS = _policy_variants({"length": (("Unit",), "Int", None)})
-_FST_KEYS = _policy_variants({"first": (("Unit",), "String", None)})
-_FSTLEN_KEYS = _policy_variants({"first": (("Unit",), "String", None), "length": (("Unit",), "Int", None)})
+def _string_policy_key(*names: str) -> tuple:
+    """The key of the policy that exposes exactly `names` of String."""
+    return _policy_key(ObjType("a", tuple((m, prim_sig("String", m)) for m in names)))
+
+
+_LEN_KEY = _string_policy_key("length")
+_FST_KEY = _string_policy_key("first")
+_FSTLEN_KEY = _string_policy_key("first", "length")
 
 _ALPHABET = "abc"
 
@@ -309,12 +316,13 @@ def gen_related_pair(s: Faceted, k: int, rng: random.Random, ctx: "ProbeContext 
     """A pair of closed values related at the closed security type `s` for
     `k` observation steps.
 
-    Known policies get shaped generators (equal literals for fully public
-    primitives, independent ones at the empty interface, equal-length
-    strings for length policies, and so on); proposals that only a
-    relatedness check can certify are verified and replaced by a reflexive
-    pair when the check refutes them. The reflexive fallback applies to
-    anything else.
+    Primitives get shaped generators (equal literals for fully public
+    ones, independent ones at the empty interface, equal-length strings
+    for length policies, and so on); proposals that only a relatedness
+    check can certify are verified and replaced by a reflexive pair when
+    the check refutes them. List-shaped objects are structurally parallel
+    lists of related elements, and any other object is built from the
+    relation at `T<U>` (`_gen_obj_pair`).
     """
     t, u = s.safety, s.decl
     if isinstance(u, TypeVar):
@@ -324,8 +332,7 @@ def gen_related_pair(s: Faceted, k: int, rng: random.Random, ctx: "ProbeContext 
     if isinstance(t, ObjType):
         if _is_list_shaped(t):
             return _gen_list_pair(t, u, k, rng, ctx)
-        v = _synth_value(t, rng)
-        return v, v
+        return _gen_obj_pair(t, u, k, rng, ctx)
     raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
 
 
@@ -335,18 +342,18 @@ def _gen_prim_pair(kind: str, u: DeclType, k: int, rng: random.Random, ctx) -> t
         return v, v  # public: syntactically equal
     if is_top(u):
         return _rand_lit(kind, rng), _rand_lit(kind, rng)
-    key = canon(u)
-    if kind == "String" and key in _LEN_KEYS:
+    key = _policy_key(u)
+    if kind == "String" and key == _LEN_KEY:
         n = rng.randint(0, 4)
         return PrimLit(_rand_string(rng, n), "String"), PrimLit(_rand_string(rng, n), "String")
-    if kind == "String" and key in _FSTLEN_KEYS:
+    if kind == "String" and key == _FSTLEN_KEY:
         n = rng.randint(1, 4)
         c = rng.choice(_ALPHABET)
         return (
             PrimLit(c + _rand_string(rng, n - 1), "String"),
             PrimLit(c + _rand_string(rng, n - 1), "String"),
         )
-    if kind == "String" and key in _FST_KEYS:
+    if kind == "String" and key == _FST_KEY:
         c = rng.choice(_ALPHABET)
         return (
             PrimLit(c + _rand_string(rng), "String"),
@@ -412,23 +419,42 @@ def _build_list(t: ObjType, elems: list[Expr]) -> Expr:
     return out
 
 
-def _synth_value(t: DeclType, rng: random.Random) -> Expr:
-    """A closed value inhabiting safety type `t`: literals for primitives,
-    and for object types an object whose methods re-invoke themselves (so
-    every observation diverges, which relates to everything)."""
-    if isinstance(t, Prim):
-        return _rand_lit(t.kind, rng)
-    if not isinstance(t, ObjType):
-        raise NoGenerator(f"cannot synthesize a value at {pretty_print(t)}")
+def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
+    """`sig`'s return type with each type parameter at its lower bound,
+    earlier choices substituted into later bounds."""
+    sub: dict[str, DeclType] = {}
+    for tp in sig.tparams:
+        sub[tp.name] = subst_type_vars(tp.lower, sub)
+    return subst_type_vars(sig.ret, sub)
+
+
+def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
+    """Two objects related at `T<U>` for `k` steps, built from the relation.
+
+    A method in `U` returns a pair related at `U`'s return declassification
+    over `T`'s return safety; a method only in `T` returns a pair at
+    declassification `Top`, which the observer cannot tell apart. Type
+    parameters sit at their lower bounds, the instantiation that observes
+    most; the bodies ignore their arguments. At `k <= 0` every method calls
+    itself and diverges, which relates to everything.
+    """
     z = fresh("z")
-    methods = []
-    for name, sig in t.methods:
+    methods1, methods2 = [], []
+    for name, _ in t.methods:
+        sig = msig({}, t, name)
         if isinstance(sig, PrimSig):
             raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
         params = tuple(fresh("x") for _ in sig.args)
-        body = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
-        methods.append(MethodDef(name, params, body))
-    return ObjectLit(z, public(t), tuple(methods))
+        if k <= 0:
+            b1 = b2 = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
+        else:
+            decl = TOP
+            if isinstance(u, ObjType) and u.sig(name) is not None:
+                decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
+            b1, b2 = gen_related_pair(Faceted(_ret_at_lower_bounds(sig).safety, decl), k - 1, rng, ctx)
+        methods1.append(MethodDef(name, params, b1))
+        methods2.append(MethodDef(name, params, b2))
+    return ObjectLit(z, public(t), tuple(methods1)), ObjectLit(z, public(t), tuple(methods2))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +477,8 @@ def check_related(
     Returns (False, observation path) on refutation; (True, None) when no
     probe distinguishes them within the step index and budget. Probes are
     keyed by structural path so a larger `k` replays the shallower probes
-    identically (refutations are monotone in `k`).
+    identically (refutations are monotone in `k`). Every method of the
+    declassification facet is probed at its observable signature.
     """
     if k <= 0 or ctx.budget <= 0:
         return True, None
@@ -464,16 +491,10 @@ def check_related(
                 return True, None
             return False, []
         return True, None
-    if is_top(u):
-        return True, None
     if not isinstance(u, ObjType):
         return True, None
     for name, _ in u.methods:
-        sig = msig({}, u, name)
-        if isinstance(sig, PrimSig):
-            ok, path = _probe_prim_method(k, v1, v2, name, sig, ctx, _path)
-        else:
-            ok, path = _probe_generic_method(k, v1, v2, name, sig, ctx, _path)
+        ok, path = _probe_generic_method(k, v1, v2, name, _observable(msig({}, u, name)), ctx, _path)
         if not ok:
             return False, path
     return True, None
@@ -490,54 +511,6 @@ def _outcomes(v1, v2, name, targs, args1, args2, ctx) -> tuple | None:
     return None
 
 
-def _probe_prim_method(k, v1, v2, name, sig: PrimSig, ctx, path) -> tuple[bool, list | None]:
-    rng = _rng(ctx.seed, "prim", *[str(p) for p in path], name)
-    for i, args in enumerate(_prim_probe_tuples(sig.arg_kinds, v1, v2, rng)):
-        if ctx.budget <= 0:
-            return True, None
-        out = _outcomes(v1, v2, name, (), args, args, ctx)
-        if out is None:
-            continue
-        r1, r2 = out
-        # Public arguments: results related at the public return type.
-        ok, sub = check_related(
-            k - 1, r1, r2, public(Prim(sig.ret_kind)), ctx, path + ((name, i),)
-        )
-        if not ok:
-            step = Observation(name, (), tuple(pretty_print(a) for a in args), tuple(pretty_print(a) for a in args))
-            return False, [step] + (sub or [])
-    return True, None
-
-
-def _prim_probe_tuples(kinds: tuple[str, ...], v1, v2, rng) -> list[tuple]:
-    per_kind: list[list[PrimLit]] = []
-    for kind in kinds:
-        cands: list[PrimLit] = []
-        for v in (v1, v2):
-            if isinstance(v, PrimLit) and v.kind == kind:
-                cands.append(PrimLit(v.value, kind))
-        base = {
-            "Int": [0, 1],
-            "String": ["", "a"],
-            "Bool": [True, False],
-            "Unit": [None],
-        }[kind]
-        cands.extend(PrimLit(b, kind) for b in base)
-        cands.append(_rand_lit(kind, rng))
-        seen: set = set()
-        uniq = []
-        for c in cands:
-            if c.value not in seen:
-                seen.add(c.value)
-                uniq.append(c)
-        per_kind.append(uniq[:4])
-    if not per_kind:
-        return [()]
-    first = per_kind[0]
-    rest = tuple(col[0] for col in per_kind[1:])
-    return [(c,) + rest for c in first]
-
-
 def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[bool, list | None]:
     tried: set = set()
     for ti, inst in enumerate(_sample_instantiations(sig, ctx)):
@@ -547,10 +520,15 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
         for ai in range(ASAMPLES):
             if ctx.budget <= 0:
                 return True, None
-            arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
+            arng = None
             args1, args2 = [], []
             for j, at in enumerate(args_types):
-                a1, a2 = _probe_arg_pair(at, k - 1, arng, ctx, ai + j, (v1, v2))
+                if isinstance(at.safety, Prim) and type_equiv(at.safety, at.decl):
+                    a1 = a2 = _public_arg(at.safety.kind, (v1, v2), ai + j)
+                else:
+                    if arng is None:
+                        arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
+                    a1, a2 = gen_related_pair(at, k - 1, arng, ctx)
                 args1.append(a1)
                 args2.append(a2)
             probe_key = (
@@ -577,29 +555,19 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
     return True, None
 
 
-def _probe_arg_pair(at: Faceted, k: int, rng, ctx, salt: int, receivers: tuple = ()) -> tuple[Expr, Expr]:
-    """Related argument pair for a probe. Public primitive positions cycle
-    through distinguished candidates, starting with the probed receivers
-    themselves: an equality-style method only tells two values apart when
-    probed with one of them."""
-    if isinstance(at, Faceted) and isinstance(at.safety, Prim) and type_equiv(at.safety, at.decl):
-        kind = at.safety.kind
-        vals: list = []
-        for r in receivers:
-            if isinstance(r, PrimLit) and r.kind == kind and r.value not in vals:
-                vals.append(r.value)
-        base = {
-            "Int": [0, 1, 2],
-            "String": ["a", "", "b"],
-            "Bool": [True, False],
-            "Unit": [None],
-        }[kind]
-        for b in base + [_rand_lit(kind, rng).value]:
-            if b not in vals:
-                vals.append(b)
-        v = PrimLit(vals[salt % len(vals)], kind)
-        return v, v
-    return gen_related_pair(at, k, rng, ctx)
+_PROBE_BASE = {"Int": (0, 1, 2), "String": ("a", "", "b"), "Bool": (True, False), "Unit": (None,)}
+
+
+def _public_arg(kind: str, receivers: tuple, salt: int) -> PrimLit:
+    """The argument at a public primitive position: candidates cycle
+    through the probed receivers themselves, then fixed base values. An
+    equality-style method only tells two values apart when probed with one
+    of them."""
+    vals: list = []
+    for v in [r.value for r in receivers if isinstance(r, PrimLit) and r.kind == kind] + list(_PROBE_BASE[kind]):
+        if v not in vals:
+            vals.append(v)
+    return PrimLit(vals[salt % len(vals)], kind)
 
 
 def _probe_key(a: Expr):

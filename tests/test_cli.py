@@ -1,6 +1,7 @@
 """The command-line interface: exit codes, JSON output, corpus runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -177,3 +178,56 @@ class TestCorpusCommand:
         res = runner.invoke(main, ["corpus", str(tmp_path), "--typing-only", "--json"])
         payload = json.loads(res.output)
         assert payload["passed"] == 1 and payload["failed"] == 0
+
+    def test_insecure_mismatch_reports_the_pairs_run(self, runner, tmp_path):
+        # A closed program runs once, whatever --pairs asks for.
+        (tmp_path / "closed.gobsec").write_text("expect insecure at Int!\n(1 : Int?)")
+        res = runner.invoke(main, ["corpus", str(tmp_path), "--seed", "1", "--json"])
+        assert res.exit_code == 1
+        [result] = json.loads(res.output)["results"]
+        assert result["detail"] == "no counterexample found in 1 pairs"
+
+    def test_test_programs_meet_their_expectations(self, runner):
+        # Object-input programs kept out of the shipped corpus.
+        programs = Path(__file__).parent / "programs"
+        res = runner.invoke(main, ["corpus", str(programs), "--json", "--seed", "1", "--pairs", "50"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert (payload["passed"], payload["failed"]) == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("prni", "--pairs", "-3"),
+        ("prni", "--substs", "0"),
+        ("prni", "--k", "0"),
+        ("prni", "--fuel", "0"),
+        ("corpus", "--pairs", "0"),
+        ("run", "--fuel", "-1"),
+    ],
+)
+def test_counts_below_one_exit_2(runner, write, tmp_path, command, option, value):
+    f = write("leak.gobsec", "var h : String?\nh")
+    target = str(tmp_path) if command == "corpus" else f
+    extra = ["--seed", "1"] if command == "prni" else []
+    res = runner.invoke(main, [command, target, option, value, *extra])
+    assert res.exit_code == 2
+    assert "is not in the range" in res.output
+
+
+def test_deep_nesting_exits_2_without_traceback(runner, write):
+    paren = write("paren.gobsec", "(" * 600 + "1" + ")" * 600)
+    chain = write("chain.gobsec", "var x : Int!\nx" + ".+(1)" * 600)
+    down = write(
+        "down.gobsec",
+        "var n : Int!\n"
+        "new { f : Obj(a)[ down : Int! -> Int! ]!\n"
+        "  down(n) => if n.eq(0) then 0 else f.down(n.-(1)).+(1)\n"
+        "}.down(n)",
+    )
+    for args in (["check", paren], ["check", chain], ["run", down, "--input", "n=2000"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert res.stderr.strip() == "input nests too deeply"
+        assert not isinstance(res.exception, RecursionError)

@@ -2,9 +2,11 @@
 related-pair generation, relatedness probing, and end-to-end verdicts."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from gobsec.interp import Timeout, evaluate
 from gobsec.parser import parse_expr, parse_program, parse_sectype, pretty_print
 from gobsec.prni import (
     Counterexample,
@@ -18,13 +20,15 @@ from gobsec.prni import (
     sample_subst,
     verdict_to_json,
 )
-from gobsec.syntax import TOP, Faceted, Prim, PrimLit, TypeVar, canon, subst_term
+from gobsec.syntax import TOP, UNIT, Faceted, Invoke, Prim, PrimLit, TypeVar, canon, subst_term
 
 from conftest import (
     INT,
     STR_FST_LEN,
     STRING,
     STRING_EQ,
+    STRING_EQ_POLY,
+    STRING_FST,
     STRING_HASH_EQ,
     STRING_LEN,
 )
@@ -34,6 +38,14 @@ type StringLen = Obj(a)[ length : Unit! -> Int! ]
 type StrFstLen = Obj(a)[ first : Unit! -> String!, length : Unit! -> Int! ]
 tvar X : StrFstLen .. StringLen
 var x : String<X>
+"""
+
+PROGRAMS = Path(__file__).parent / "programs"
+
+# An object input: `get` is exposed by the policy `G`, `peek` is not.
+OBJ_CTX = """
+type O = Obj(o)[ get : Unit! -> String!, peek : Unit! -> String! ]
+type G = Obj(g)[ get : Unit! -> String! ]
 """
 
 
@@ -84,10 +96,20 @@ class TestGenRelatedPair:
         assert any(a != b for a, b in vals)
 
     def test_length_policy_pairs_same_length(self):
+        # Both spellings of the policy: standard and primitive (`<*>`).
+        for s in (Faceted(STRING, STRING_LEN), parse_sectype("String<Obj(a)[ length : Unit<*> -> Int<*> ]>")):
+            differing = 0
+            for seed in range(50):
+                v1, v2 = gen_related_pair(s, 6, _rng(seed))
+                assert len(v1.value) == len(v2.value)
+                differing += v1.value != v2.value
+            assert differing > 0
+
+    def test_first_policy_pairs_share_the_first_character(self):
         differing = 0
         for seed in range(50):
-            v1, v2 = gen_related_pair(Faceted(STRING, STRING_LEN), 6, _rng(seed))
-            assert len(v1.value) == len(v2.value)
+            v1, v2 = gen_related_pair(Faceted(STRING, STRING_FST), 6, _rng(seed))
+            assert v1.value[:1] == v2.value[:1] != ""
             differing += v1.value != v2.value
         assert differing > 0
 
@@ -107,6 +129,23 @@ class TestGenRelatedPair:
         for seed in range(40):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_HASH_EQ), 6, _rng(seed))
             assert v1 == v2
+
+    def test_object_pairs_follow_the_policy(self):
+        s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
+        peeks_differ = False
+        for seed in range(20):
+            v1, v2 = gen_related_pair(s, 6, _rng(seed))
+            get1, get2 = (evaluate(Invoke(v, "get", (), (UNIT,))).expr for v in (v1, v2))
+            assert get1 == get2
+            peek1, peek2 = (evaluate(Invoke(v, "peek", (), (UNIT,))).expr for v in (v1, v2))
+            peeks_differ |= peek1 != peek2
+        assert peeks_differ
+
+    def test_object_pairs_diverge_at_step_zero(self):
+        s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
+        for v in gen_related_pair(s, 0, _rng()):
+            for m in ("get", "peek"):
+                assert isinstance(evaluate(Invoke(v, m, (), (UNIT,)), 100), Timeout)
 
 
 class TestCheckRelated:
@@ -133,6 +172,17 @@ class TestCheckRelated:
         )
         assert not ok
         assert path[0].method == "first"
+
+    def test_primitive_signature_policy_is_probed_at_public_arguments(self):
+        ok, path = check_related(
+            2, PrimLit("abc", "String"), PrimLit("ab", "String"), Faceted(STRING, STRING_EQ_POLY), ProbeContext(seed=1)
+        )
+        assert not ok
+        assert path[0].method == "eq"
+        ok, _ = check_related(
+            6, PrimLit("abc", "String"), PrimLit("abc", "String"), Faceted(STRING, STRING_EQ_POLY), ProbeContext(seed=1)
+        )
+        assert ok
 
     def test_method_with_dependent_bounds_is_probed(self):
         # A bound of `Y` names `X`: each instantiation substitutes its choice
@@ -224,6 +274,18 @@ class TestPrniTest:
             for s in range(4)
         }
         assert len(trials) >= 1  # all refute; trial indices may differ
+
+    def test_object_input_leak_is_refuted(self):
+        p = parse_program((PROGRAMS / "object_leak.gobsec").read_text())
+        v = prni_test(p, parse_sectype("String!"), self.cfg(pairs=50, seed=1))
+        assert isinstance(v, Counterexample)
+        assert v.outputs[0] != v.outputs[1]
+
+    def test_object_input_at_its_policy_is_secure(self):
+        # The secure twin: `G` exposes the observed method.
+        p = parse_program((PROGRAMS / "object_policy.gobsec").read_text())
+        v = prni_test(p, parse_sectype("String!"), self.cfg(pairs=50, seed=1))
+        assert isinstance(v, NoCounterexample)
 
     def test_requires_simple_typing(self):
         from gobsec.typecheck import TypeError_
