@@ -228,7 +228,15 @@ def _resolve_seed(seed: int | None) -> int | None:
 @click.option("--observe", "observe", default=None, metavar="SECTYPE", help="Observation type (defaults to the synthesized type of the body).")
 @click.option("--pairs", default=1000, show_default=True, type=POSITIVE)
 @click.option("--substs", default=10, show_default=True, type=POSITIVE)
-@click.option("--k", "k", default=6, show_default=True, type=POSITIVE, help="Observation depth.")
+@click.option(
+    "--k",
+    "k",
+    default=6,
+    show_default=True,
+    type=POSITIVE,
+    help="Observation depth. Method results are compared at k - 1, so at 1 "
+    "an object observation type relates every pair; use 2 or more to probe methods.",
+)
 @click.option("--fuel", default=10_000, show_default=True, type=POSITIVE)
 @click.option("--seed", default=None, type=int, help="Required (or set GOBSEC_SEED).")
 @click.option("--json", "as_json", is_flag=True)

@@ -1,11 +1,24 @@
-"""Small-step evaluation: contexts, object invocation by substitution,
-primitive dispatch, and a fuel-bounded driver.
+"""Evaluation: the small-step semantics, the environment machine that
+runs programs, primitive dispatch, and the safety fuzz generator.
 
-Reduction is leftmost-innermost: the receiver reduces first, then the
-arguments left to right, then the call contracts. Object invocation
-substitutes the receiver for the self name and the argument values for
-the parameters. Primitive invocation applies the dispatch table below,
-which fixes the otherwise-abstract primitive semantics:
+`step` is the specification. Reduction is leftmost-innermost: the
+receiver reduces first, then the arguments left to right, then the call
+contracts. Object invocation substitutes the receiver for the self name
+and the argument values for the parameters.
+
+`evaluate` is an environment machine derived from `step` in the manner of
+Ager, Biernacki, Danvy and Midtgaard ("A functional correspondence
+between evaluators and abstract machines", PPDP 2003), close to
+Felleisen and Friedman's CEK machine: an object value is a closure,
+invocation extends the closure's environment instead of copying the
+method body, and the evaluation contexts `step` re-finds from the root
+on every step are frames on an explicit stack. It runs on a loop, so
+program depth is bounded by memory and fuel, not by Python's recursion
+limit. It contracts exactly what `step` contracts, and the tests hold it
+to iterating `step`.
+
+Primitive invocation applies the dispatch table below, which fixes the
+otherwise-abstract primitive semantics:
 
 * Int is 64-bit two's-complement with wrapping +, -, *;
 * String.length counts unicode scalars, String.first is the first scalar
@@ -40,6 +53,7 @@ from .syntax import (
     TParam,
     TypeVar,
     Var,
+    free_term_vars,
     fresh,
     is_value,
     public,
@@ -260,21 +274,184 @@ def _contract(e: Invoke) -> Expr:
     raise StuckError(e, "receiver is not a value")
 
 
+# ---------------------------------------------------------------------------
+# Environment machine
+# ---------------------------------------------------------------------------
+
+# A machine value is a `PrimLit` or a closure, the tuple `(ObjectLit, env)`
+# of an object literal and the environment it was built in. An environment
+# is None or a link `(name, value, parent)`. Continuation frames are tuples
+# `(tag, node, env, ...)`, except that the frame for a call with several
+# arguments is a list `[_ARG, node, env, receiver, values]` whose values
+# grow one argument at a time.
+_RECV, _ARG1, _ARG, _IF, _LET = range(5)
+
+
+def _lookup(env, name: str):
+    while env is not None:
+        if env[0] == name:
+            return env[1]
+        env = env[2]
+    return None
+
+
+def _readback(v, memo: dict) -> Expr:
+    """The term the substitution semantics builds for a machine value: the
+    closure's literal, erased, with its free variables replaced by the
+    read-back values they are bound to. In a closed program those values
+    are closed, so `subst_term` renames nothing; a `let` in a method body
+    reads back lowered, under a fresh self name."""
+    if type(v) is not tuple:
+        return v
+    got = memo.get(id(v))
+    if got is None:
+        obj = erase_surface(v[0])
+        binds = {}
+        for name in free_term_vars(obj):
+            bound = _lookup(v[1], name)
+            if bound is not None:
+                binds[name] = _readback(bound, memo)
+        got = memo[id(v)] = subst_term(obj, binds)
+    return got
+
+
+def _readback_redex(r) -> Expr:
+    memo: dict = {}
+    if type(r) is Invoke:
+        return Invoke(_readback(r.recv, memo), r.method, r.targs, tuple(_readback(a, memo) for a in r.args), r.span)
+    return _readback(r, memo)
+
+
 def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> Outcome:
-    """Iterate `step` up to `fuel` contractions and classify the result."""
-    e = erase_surface(e)
+    """Run `e` on the environment machine to a value, a stuck state or
+    `fuel` contractions.
+
+    The outcome class, the step count, the value and the stuck redex are
+    those of iterating `step` on `erase_surface(e)`. One step is a method
+    or primitive call, an `if` choosing its branch, or a `let` binding its
+    value (as its lowering does); ascriptions are transparent. Fuel is
+    checked before each step, so a program that would stick with no fuel
+    left is a `Timeout`. Closures are read back to terms only for
+    `Value.expr` and `Stuck.redex`."""
     steps = 0
-    while steps < fuel:
-        if is_value(e):
-            return Value(e, steps)
-        try:
-            e = _step(e)
-        except StuckError as ex:
-            return Stuck(ex.redex, ex.reason, steps)
-        steps += 1
-    if is_value(e):
-        return Value(e, steps)
-    return Timeout(steps)
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    env = None
+    c = e
+    try:
+        while True:
+            # Descend into `c`, pushing a frame per context, to a value `v`.
+            while True:
+                t = type(c)
+                if t is Invoke:
+                    push((_RECV, c, env))
+                    c = c.recv
+                elif t is Var:
+                    name, link = c.name, env
+                    while link is not None:
+                        if link[0] == name:
+                            v = link[1]
+                            break
+                        link = link[2]
+                    else:
+                        raise StuckError(c, f"free variable {name}")
+                    break
+                elif t is PrimLit:
+                    v = c
+                    break
+                elif t is ObjectLit:
+                    v = (c, env)
+                    break
+                elif t is If:
+                    push((_IF, c, env))
+                    c = c.cond
+                elif t is Let:
+                    push((_LET, c, env))
+                    c = c.bound
+                elif t is Ascribe:
+                    c = c.expr
+                else:
+                    raise GobsecError(f"cannot evaluate {t.__name__}")
+            # Return `v` to the frames until one has an expression to run.
+            while stack:
+                fr = pop()
+                tag = fr[0]
+                if tag is _ARG1:
+                    node, recv, vals = fr[1], fr[3], (v,)
+                elif tag is _ARG:
+                    vals = fr[4]
+                    vals.append(v)
+                    node = fr[1]
+                    if len(vals) < len(node.args):
+                        push(fr)
+                        env = fr[2]
+                        c = node.args[len(vals)]
+                        break
+                    recv = fr[3]
+                elif tag is _RECV:
+                    node = fr[1]
+                    args = node.args
+                    if args:
+                        env = fr[2]
+                        push((_ARG1, node, env, v) if len(args) == 1 else [_ARG, node, env, v, []])
+                        c = args[0]
+                        break
+                    recv, vals = v, ()
+                elif tag is _IF:
+                    if steps >= fuel:
+                        return Timeout(steps)
+                    if type(v) is not PrimLit or v.kind != "Bool":
+                        raise StuckError(v, "condition did not evaluate to a Bool")
+                    steps += 1
+                    node = fr[1]
+                    c = node.then if v.value else node.els
+                    env = fr[2]
+                    break
+                else:
+                    if steps >= fuel:
+                        return Timeout(steps)
+                    steps += 1
+                    node = fr[1]
+                    c = node.body
+                    env = (node.name, v, fr[2])
+                    break
+                # Contract `node` on receiver `recv` and argument values `vals`.
+                if steps >= fuel:
+                    return Timeout(steps)
+                if type(recv) is tuple:
+                    obj = recv[0]
+                    method = node.method
+                    for impl in obj.methods:
+                        if impl.name == method:
+                            break
+                    else:
+                        raise StuckError(Invoke(recv, method, node.targs, tuple(vals), node.span), f"object has no method {method}")
+                    params = impl.params
+                    if len(params) != len(vals):
+                        raise StuckError(
+                            Invoke(recv, method, node.targs, tuple(vals), node.span),
+                            f"method {method} expects {len(params)} arguments, got {len(vals)}",
+                        )
+                    env = (obj.self_name, recv, recv[1])
+                    if len(vals) == 1:
+                        env = (params[0], vals[0], env)
+                    else:
+                        for p, a in zip(params, vals):
+                            env = (p, a, env)
+                    c = impl.body
+                    steps += 1
+                    break
+                for a in vals:
+                    if type(a) is not PrimLit:
+                        raise StuckError(a, f"primitive {recv.kind}.{node.method} applied to a non-primitive argument")
+                v = theta(node.method, recv, tuple(vals))
+                steps += 1
+            else:
+                return Value(_readback(v, {}), steps)
+    except StuckError as ex:
+        if steps >= fuel:
+            return Timeout(steps)
+        return Stuck(_readback_redex(ex.redex), ex.reason, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,18 @@ def prni_test(
     n_substs = max(1, config.substs) if delta else 1
     for i in range(n_substs):
         substs.append(sample_subst(delta, pool, _rng(config.seed, "subst", i)) if delta else {})
+    # Independent draws can all agree (1 seed in 512 for an interval of two
+    # types), and then no trial runs the other instantiation, where a leak
+    # may be. The last draw is then redrawn until it differs.
+    def key(sub: dict[str, DeclType]) -> tuple:
+        return tuple(canon(t) for t in sub.values())
+
+    if len(substs) > 1 and len({key(sub) for sub in substs}) == 1:
+        for i in range(n_substs, 4 * n_substs):
+            sub = sample_subst(delta, pool, _rng(config.seed, "subst", i))
+            if key(sub) != key(substs[0]):
+                substs[-1] = sub
+                break
     pairs = config.pairs
     if not delta and not gamma:
         pairs = min(pairs, 1)  # a closed program runs deterministically

@@ -3,8 +3,9 @@
 Terms are variables, primitive literals, object literals, and method
 invocations (optionally carrying declassification type arguments).
 `Ascribe`, `If`, and `Let` are surface forms: the checker consumes
-ascriptions, `If` evaluates natively, and `Let` is lowered to an
-immediately-invoked single-method object before evaluation.
+ascriptions, `If` evaluates natively, and the small-step semantics lowers
+`Let` to an immediately-invoked single-method object (the evaluator binds
+it directly, at the same one-step cost).
 
 Security types are faceted: a safety type (the full implementation
 interface) paired with a declassification type (the interface the public
@@ -246,7 +247,7 @@ class If:
 
 @dataclass(frozen=True)
 class Let:
-    """Surface `let x = e in body`; lowered before evaluation."""
+    """Surface `let x = e in body`; `interp.erase_surface` lowers it."""
 
     name: str
     bound: "Expr"

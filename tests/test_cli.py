@@ -219,6 +219,15 @@ def test_counts_below_one_exit_2(runner, write, tmp_path, command, option, value
 def test_deep_nesting_exits_2_without_traceback(runner, write):
     paren = write("paren.gobsec", "(" * 600 + "1" + ")" * 600)
     chain = write("chain.gobsec", "var x : Int!\nx" + ".+(1)" * 600)
+    for args in (["check", paren], ["check", chain]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert res.stderr.strip() == "input nests too deeply"
+        assert not isinstance(res.exception, RecursionError)
+
+
+@pytest.mark.parametrize("n, fuel", [(2000, None), (100_000, 1_000_000)])
+def test_deep_recursion_runs_without_python_recursion(runner, write, n, fuel):
     down = write(
         "down.gobsec",
         "var n : Int!\n"
@@ -226,8 +235,7 @@ def test_deep_nesting_exits_2_without_traceback(runner, write):
         "  down(n) => if n.eq(0) then 0 else f.down(n.-(1)).+(1)\n"
         "}.down(n)",
     )
-    for args in (["check", paren], ["check", chain], ["run", down, "--input", "n=2000"]):
-        res = runner.invoke(main, args)
-        assert res.exit_code == 2, args
-        assert res.stderr.strip() == "input nests too deeply"
-        assert not isinstance(res.exception, RecursionError)
+    res = runner.invoke(main, ["run", down, "--input", f"n={n}"] + (["--fuel", str(fuel)] if fuel else []))
+    assert res.exit_code == 0, res.output
+    assert res.stdout.strip() == str(n)
+    assert not isinstance(res.exception, RecursionError)

@@ -1,14 +1,20 @@
-"""Small-step evaluation, the primitive dispatch table, and the safety
-fuzz generator."""
+"""Small-step evaluation, the environment machine against it, the
+primitive dispatch table, and the safety fuzz generator."""
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobsec.algebra import meths
+from gobsec.cli import corpus_dir
 from gobsec.interp import (
     Stuck,
+    StuckError,
     Timeout,
     Value,
+    erase_surface,
     erase_types,
     evaluate,
     fnv1a64,
@@ -17,16 +23,22 @@ from gobsec.interp import (
     theta,
 )
 from gobsec.parser import parse_expr, parse_program, pretty_print
+from gobsec.prni import ProbeContext, default_pool, gen_related_pair, sample_subst
 from gobsec.syntax import (
     FALSE,
     Invoke,
+    Let,
     MethodDef,
     ObjType,
     ObjectLit,
     PrimLit,
     Var,
+    alpha_eq_expr,
+    is_value,
     public,
     subst_term,
+    subst_type_vars,
+    subst_type_vars_expr,
 )
 
 from conftest import INT, gsig
@@ -163,3 +175,144 @@ class TestGenWelltyped:
             _, e, _ = gen_welltyped(seed)
             out = evaluate(e, fuel=10_000)
             assert not isinstance(out, Stuck), pretty_print(e)
+
+
+def reference(e, fuel):
+    """The specification: erase the surface forms, then iterate `step` up
+    to `fuel` contractions."""
+    e = erase_surface(e)
+    steps = 0
+    while steps < fuel:
+        try:
+            nxt = step(e)
+        except StuckError as ex:
+            return Stuck(ex.redex, ex.reason, steps)
+        if nxt is None:
+            return Value(e, steps)
+        e = nxt
+        steps += 1
+    if is_value(e):
+        return Value(e, steps)
+    return Timeout(steps)
+
+
+def corpus_closures():
+    """Every corpus body, four times, with its type variables instantiated
+    and its inputs replaced by each side of a `gen_related_pair`."""
+    for path in sorted(corpus_dir().glob("*.gobsec")):
+        prog = parse_program(path.read_text(encoding="utf-8"))
+        pool = default_pool(prog)
+        for trial in range(4):
+            rng = random.Random(trial)
+            sigma = sample_subst(dict(prog.tvars), pool, rng) if prog.tvars else {}
+            body = subst_type_vars_expr(prog.body, sigma)
+            pairs = {
+                x: gen_related_pair(subst_type_vars(s, sigma), 6, rng, ProbeContext(pool=pool))
+                for x, s in prog.vars.items()
+            }
+            for side in (0, 1):
+                yield path.name, subst_term(body, {x: pair[side] for x, pair in pairs.items()})
+
+
+OBJ_T = "Obj(a)[ m : Int! -> Int! ]!"
+
+
+class TestMachineAgainstStep:
+    """`evaluate` is an environment machine; iterating `step` is its
+    specification. Outcome class, step count, value and stuck redex agree
+    exactly."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 9_999), st.one_of(st.integers(0, 40), st.just(10_000)))
+    def test_generated_terms(self, seed, fuel):
+        _, e, _ = gen_welltyped(seed)
+        assert evaluate(e, fuel) == reference(e, fuel)
+
+    def test_corpus_bodies(self):
+        checked = 0
+        for name, e in corpus_closures():
+            full = reference(e, 10_000)
+            assert evaluate(e, 10_000) == full, name
+            # Cut the run short, at a timeout and just before the end.
+            for fuel in {0, full.steps // 2, max(full.steps - 1, 0)}:
+                assert evaluate(e, fuel) == reference(e, fuel), (name, fuel)
+            checked += 1
+        assert checked >= 2 * 22
+
+    @pytest.mark.parametrize(
+        "src, steps, redex, reason",
+        [
+            ("let a = 1.+(2) in a.+(y)", 2, "y", "free variable y"),
+            (f"new {{ z : {OBJ_T} m(x) => x }}.n(1.+(1))", 1, f"new {{ z : {OBJ_T} m(x) => x }}.n(2)", "object has no method n"),
+            (
+                f"let k = 1.+(4) in new {{ z : {OBJ_T} m(x) => k }}.m(1, 2)",
+                2,
+                f"new {{ z : {OBJ_T} m(x) => 5 }}.m(1, 2)",
+                "method m expects 1 arguments, got 2",
+            ),
+            ("if 1.+(1) then 1 else 2", 1, "2", "condition did not evaluate to a Bool"),
+            (
+                f"1.+(2).+(new {{ z : {OBJ_T} m(x) => x }})",
+                1,
+                f"new {{ z : {OBJ_T} m(x) => x }}",
+                "primitive Int.+ applied to a non-primitive argument",
+            ),
+            ('"a".concat("b").nope()', 1, '"ab"', "primitive String has no method nope"),
+        ],
+    )
+    def test_stuck_at_its_fuel_and_timeout_one_below(self, src, steps, redex, reason):
+        e = parse_expr(src)
+        out = evaluate(e, steps + 1)
+        assert out == reference(e, steps + 1) == Stuck(out.redex, reason, steps)
+        assert out.redex == erase_surface(parse_expr(redex))
+        assert evaluate(e, steps) == reference(e, steps) == Timeout(steps)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "let x = 2.+(3) in (x.*(x) : Int!)",
+            "(let x = (1 : Int!) in let y = x.+(x) in let x = y.+(1) in x.+(y) : Int!)",
+            "let z = 7 in new { s : Obj(a)[ m : Int! -> Int! ]! m(x) => let y = (x.+(z) : Int!) in y.*(2) }.m(z.+(1))",
+            f"let k = 4 in (new {{ s : {OBJ_T} m(x) => (x.+(k) : Int!) }} : {OBJ_T})",
+            f"let k = 4 in let o = new {{ s : {OBJ_T} m(x) => x.+(k) }} in let k = 9 in o",
+        ],
+    )
+    def test_let_and_ascription(self, src):
+        e = parse_expr(src)
+        for fuel in range(12):
+            assert evaluate(e, fuel) == reference(e, fuel), fuel
+
+    @pytest.mark.parametrize(
+        "src, value",
+        [
+            # The closure sees the `k` it was built under, not the caller's.
+            (f"let k = 1 in let o = new {{ s : {OBJ_T} m(x) => x.+(k) }} in let k = 10 in o.m(0)", 1),
+            # A parameter named like the self name shadows it.
+            (f"new {{ x : {OBJ_T} m(x) => x.+(1) }}.m(1)", 2),
+            (f"new {{ s : {OBJ_T} m(x) => if x.eq(0) then 0 else s.m(x.-(1)).+(2) }}.m(3)", 6),
+        ],
+    )
+    def test_lexical_scope(self, src, value):
+        e = parse_expr(src)
+        out = evaluate(e)
+        assert out == reference(e, 1_000)
+        assert out.expr == PrimLit(value, "Int")
+
+    def test_let_in_a_returned_object_reads_back_lowered(self):
+        # The reference lowers `let` to an object with a fresh self name,
+        # so the two values agree up to that name.
+        e = parse_expr(f"let k = 4 in new {{ s : {OBJ_T} m(x) => let y = x in y.+(k) }}")
+        out, ref = evaluate(e), reference(e, 100)
+        assert out.steps == ref.steps == 1
+        assert alpha_eq_expr(out.expr, ref.expr)
+        assert not isinstance(out.expr.methods[0].body, Let)
+        assert evaluate(Invoke(out.expr, "m", (), (PrimLit(3, "Int"),))).expr == PrimLit(7, "Int")
+
+    def test_nested_closures_read_back_their_environment(self):
+        e = parse_expr(
+            "let a = 1 in new { s : Obj(a)[ mk : Int! -> Obj(b)[ get : Unit! -> Int! ]! ]! "
+            "mk(n) => new { t : Obj(b)[ get : Unit! -> Int! ]! get(u) => n.+(a) } }.mk(41)"
+        )
+        out = evaluate(e)
+        assert out == reference(e, 100)
+        assert pretty_print(evaluate(Invoke(out.expr, "get", (), (PrimLit(None, "Unit"),))).expr) == "42"

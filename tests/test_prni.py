@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gobsec.cli import corpus_dir
 from gobsec.interp import Timeout, evaluate
 from gobsec.parser import parse_expr, parse_program, parse_sectype, pretty_print
 from gobsec.prni import (
@@ -237,6 +238,19 @@ class TestPrniTest:
             self.cfg(pairs=1000),
         )
         assert isinstance(bad, Counterexample)
+
+    @pytest.mark.parametrize(
+        "name, observe, seed", [("leak_first", "String!", 1627786250), ("subject_fst", "String<StringFst>", 1809123342)]
+    )
+    def test_substitutions_that_all_agree_are_redrawn(self, name, observe, seed):
+        # At these seeds all ten draws of X in `StrFstLen .. StringLen` are
+        # the lower bound, where the first character is public; the leak
+        # shows only at the upper bound.
+        p = parse_program((corpus_dir() / f"{name}.gobsec").read_text(encoding="utf-8"))
+        observe = parse_sectype(observe, p.aliases)
+        v = prni_test(p, observe, PrniConfig(pairs=100, substs=10, k=6, seed=seed))
+        assert isinstance(v, Counterexample)
+        assert v.sigma_types["X"] == p.tvars["X"][1]
 
     def test_top_observation_never_refutes(self):
         p = parse_program(LEN_CTX + "x.first()")
