@@ -281,7 +281,7 @@ def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fu
     elif isinstance(verdict, NoCounterexample):
         click.echo(
             f"no counterexample in {verdict.pairs_tested} pairs "
-            f"({verdict.substs_tested} substitutions, k={verdict.max_k})"
+            f"({verdict.compared} compared, {verdict.substs_tested} substitutions, k={verdict.max_k})"
         )
     else:
         click.echo("counterexample found:")
@@ -349,7 +349,9 @@ def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int
         verdict = prni_test(prog, observe, PrniConfig(pairs=pairs, seed=seed))
         if isinstance(verdict, Counterexample):
             return CorpusResult(name, kind, False, f"unexpected counterexample at trial {verdict.trial}")
-        return CorpusResult(name, kind, True, f"checks; no counterexample in {verdict.pairs_tested} pairs")
+        return CorpusResult(
+            name, kind, True, f"checks; no counterexample in {verdict.pairs_tested} pairs ({verdict.compared} compared)"
+        )
     if kind == "insecure":
         if target is None:
             return CorpusResult(name, kind, False, "insecure expectation needs `at SECTYPE`")
@@ -363,7 +365,9 @@ def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int
             return CorpusResult(name, kind, True, "rejected by the checker (differential test skipped)")
         verdict = prni_test(prog, target, PrniConfig(pairs=pairs, seed=seed))
         if isinstance(verdict, NoCounterexample):
-            return CorpusResult(name, kind, False, f"no counterexample found in {verdict.pairs_tested} pairs")
+            return CorpusResult(
+                name, kind, False, f"no counterexample found in {verdict.pairs_tested} pairs ({verdict.compared} compared)"
+            )
         return CorpusResult(name, kind, True, f"counterexample at trial {verdict.trial}")
     return CorpusResult(name, kind, False, f"unknown expectation {kind}")
 

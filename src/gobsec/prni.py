@@ -18,8 +18,9 @@ signature `P1<*> * ... -> R<*>` is the standard signature
 `P1! * ... -> R!` (`_observable`), so there is one probe path. Object
 inputs are built from the same relation: a method in `U` answers with
 related results, a method only in `T` with independent ones, and at step
-index 0 every method diverges. List-shaped objects keep a generator of
-their own (structurally parallel lists).
+index 0 every method diverges. A list is no exception: its input is a
+chain of `k` levels whose last one diverges, and related lists may
+differ in shape wherever the policy hides it.
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -37,7 +38,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from .algebra import has_method, in_interval, msig, prim_sig, type_equiv
+from .algebra import in_interval, msig, prim_sig, type_equiv
 from .interp import Stuck, Value, evaluate
 from .parser import SourceProgram, pretty_print
 from .syntax import (
@@ -56,7 +57,6 @@ from .syntax import (
     Prim,
     PrimLit,
     PrimSig,
-    SelfVar,
     TypeVar,
     TypeVarEnv,
     Var,
@@ -110,6 +110,7 @@ PROBE_FUEL = 600  # steps per probe evaluation; divergence still relates
 PROBE_BUDGET = 160  # probe evaluations per relatedness check
 TSAMPLES = 2  # type instantiations probed per polymorphic method
 ASAMPLES = 3  # argument tuples probed per instantiation
+CERTIFY_K = 3  # depth at which a generated primitive pair is certified
 
 
 @dataclass
@@ -175,12 +176,14 @@ class NoCounterexample:
     substs_tested: int
     max_k: int
     seed: int
+    compared: int  # trials where both runs returned a value
 
     def to_dict(self) -> dict:
         return {
             "verdict": "no-counterexample",
             "seed": self.seed,
             "trials": self.pairs_tested,
+            "compared": self.compared,
             "substs": self.substs_tested,
             "k": self.max_k,
         }
@@ -299,44 +302,32 @@ def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
 # ---------------------------------------------------------------------------
 
 
-def _is_list_shaped(t: DeclType) -> bool:
-    if not isinstance(t, ObjType) or set(t.method_names()) != {"isEmpty", "head", "tail"}:
-        return False
-    tail = t.sig("tail")
-    if not isinstance(tail, GenericSig) or tail.tparams or len(tail.args) != 1:
-        return False
-    ret = tail.ret
-    if not isinstance(ret, Faceted):
-        return False
-    tr = ret.safety
-    return (isinstance(tr, SelfVar) and tr.name == t.self_var) or type_equiv(tr, t)
-
-
-def gen_related_pair(s: Faceted, k: int, rng: random.Random, ctx: "ProbeContext | None" = None) -> tuple[Expr, Expr]:
+def gen_related_pair(
+    s: Faceted, k: int, rng: random.Random, pool: dict[str, DeclType] | None = None
+) -> tuple[Expr, Expr]:
     """A pair of closed values related at the closed security type `s` for
     `k` observation steps.
 
     Primitives get shaped generators (equal literals for fully public
     ones, independent ones at the empty interface, equal-length strings
     for length policies, and so on); proposals that only a relatedness
-    check can certify are verified and replaced by a reflexive pair when
-    the check refutes them. List-shaped objects are structurally parallel
-    lists of related elements, and any other object is built from the
-    relation at `T<U>` (`_gen_obj_pair`).
+    check can certify are verified at depth `CERTIFY_K`, with `pool` as
+    the candidate types, and replaced by a reflexive pair when the check
+    refutes them. Every object, a list included, is built from the
+    relation at `T<U>` (`_gen_obj_pair`): a chain of `k` levels below
+    which every method diverges.
     """
     t, u = s.safety, s.decl
     if isinstance(u, TypeVar):
         raise NoGenerator(f"declassification facet {u.name} is not closed")
     if isinstance(t, Prim):
-        return _gen_prim_pair(t.kind, u, k, rng, ctx)
+        return _gen_prim_pair(t.kind, u, rng, pool)
     if isinstance(t, ObjType):
-        if _is_list_shaped(t):
-            return _gen_list_pair(t, u, k, rng, ctx)
-        return _gen_obj_pair(t, u, k, rng, ctx)
+        return _gen_obj_pair(t, u, k, rng, pool)
     raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
 
 
-def _gen_prim_pair(kind: str, u: DeclType, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
+def _gen_prim_pair(kind: str, u: DeclType, rng: random.Random, pool) -> tuple[Expr, Expr]:
     if isinstance(u, Prim):
         v = _rand_lit(kind, rng)
         return v, v  # public: syntactically equal
@@ -366,57 +357,17 @@ def _gen_prim_pair(kind: str, u: DeclType, k: int, rng: random.Random, ctx) -> t
     if rng.random() < 0.5:
         return v1, v1
     v2 = _rand_lit(kind, rng)
-    return _verified_or_reflexive(v1, v2, Faceted(Prim(kind), u), k, rng, ctx)
+    return _verified_or_reflexive(v1, v2, Faceted(Prim(kind), u), rng, pool)
 
 
-def _verified_or_reflexive(v1, v2, s: Faceted, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
+def _verified_or_reflexive(v1, v2, s: Faceted, rng: random.Random, pool) -> tuple[Expr, Expr]:
     if v1 == v2:
         return v1, v1
-    probe_ctx = ProbeContext(pool=ctx.pool if ctx else {}, seed=rng.getrandbits(63), budget=40)
-    ok, _ = check_related(min(k, 3), v1, v2, s, probe_ctx)
+    probe_ctx = ProbeContext(pool=pool or {}, seed=rng.getrandbits(63), budget=40)
+    ok, _ = check_related(CERTIFY_K, v1, v2, s, probe_ctx)
     if ok:
         return v1, v2
     return v1, v1
-
-
-def _gen_list_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
-    n = rng.randint(0, 3)
-    head_sig = msig({}, t, "head")
-    if isinstance(u, ObjType) and has_method({}, u, "head"):
-        elem_s = msig({}, u, "head").ret
-    else:
-        elem_s = Faceted(head_sig.ret.safety, TOP)
-    elems = [gen_related_pair(elem_s, max(k - 1, 1), rng, ctx) for _ in range(n)]
-    l1 = _build_list(t, [a for a, _ in elems])
-    l2 = _build_list(t, [b for _, b in elems])
-    return l1, l2
-
-
-def _build_list(t: ObjType, elems: list[Expr]) -> Expr:
-    z = fresh("z")
-    u = fresh("u")
-    diverge_head = Invoke(Var(z), "head", (), (UNIT,))
-    diverge_tail = Invoke(Var(z), "tail", (), (UNIT,))
-    out: Expr = ObjectLit(
-        z,
-        public(t),
-        (
-            MethodDef("isEmpty", (u,), PrimLit(True, "Bool")),
-            MethodDef("head", (u,), diverge_head),
-            MethodDef("tail", (u,), diverge_tail),
-        ),
-    )
-    for h in reversed(elems):
-        out = ObjectLit(
-            z,
-            public(t),
-            (
-                MethodDef("isEmpty", (u,), PrimLit(False, "Bool")),
-                MethodDef("head", (u,), h),
-                MethodDef("tail", (u,), out),
-            ),
-        )
-    return out
 
 
 def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
@@ -428,7 +379,25 @@ def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
     return subst_type_vars(sig.ret, sub)
 
 
-def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, ctx) -> tuple[Expr, Expr]:
+@functools.lru_cache(maxsize=1024)
+def _method_table(t: ObjType, u: DeclType) -> tuple[tuple[str, GenericSig, Faceted], ...]:
+    """For each method of `t`: its name, its closed signature, and the type
+    at which `_gen_obj_pair` relates its two results. Built once per
+    `T<U>`, since `msig` unfolds a recursive type such as a list's on every
+    call."""
+    rows = []
+    for name, _ in t.methods:
+        sig = msig({}, t, name)
+        if isinstance(sig, PrimSig):
+            raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
+        decl = TOP
+        if isinstance(u, ObjType) and u.sig(name) is not None:
+            decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
+        rows.append((name, sig, Faceted(_ret_at_lower_bounds(sig).safety, decl)))
+    return tuple(rows)
+
+
+def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, pool) -> tuple[Expr, Expr]:
     """Two objects related at `T<U>` for `k` steps, built from the relation.
 
     A method in `U` returns a pair related at `U`'s return declassification
@@ -436,22 +405,17 @@ def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, ctx) -> t
     declassification `Top`, which the observer cannot tell apart. Type
     parameters sit at their lower bounds, the instantiation that observes
     most; the bodies ignore their arguments. At `k <= 0` every method calls
-    itself and diverges, which relates to everything.
+    itself and diverges, which relates to everything. A recursive type
+    such as a list is thus a chain of `k` levels whose last one diverges.
     """
     z = fresh("z")
     methods1, methods2 = [], []
-    for name, _ in t.methods:
-        sig = msig({}, t, name)
-        if isinstance(sig, PrimSig):
-            raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
+    for name, sig, ret in _method_table(t, u):
         params = tuple(fresh("x") for _ in sig.args)
         if k <= 0:
             b1 = b2 = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
         else:
-            decl = TOP
-            if isinstance(u, ObjType) and u.sig(name) is not None:
-                decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
-            b1, b2 = gen_related_pair(Faceted(_ret_at_lower_bounds(sig).safety, decl), k - 1, rng, ctx)
+            b1, b2 = gen_related_pair(ret, k - 1, rng, pool)
         methods1.append(MethodDef(name, params, b1))
         methods2.append(MethodDef(name, params, b2))
     return ObjectLit(z, public(t), tuple(methods1)), ObjectLit(z, public(t), tuple(methods2))
@@ -528,7 +492,7 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
                 else:
                     if arng is None:
                         arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
-                    a1, a2 = gen_related_pair(at, k - 1, arng, ctx)
+                    a1, a2 = gen_related_pair(at, k - 1, arng, ctx.pool)
                 args1.append(a1)
                 args2.append(a2)
             probe_key = (
@@ -641,16 +605,16 @@ def prni_test(
     pairs = config.pairs
     if not delta and not gamma:
         pairs = min(pairs, 1)  # a closed program runs deterministically
+    compared = 0
     for trial in range(pairs):
         sigma = substs[trial % len(substs)]
         sbody = subst_type_vars_expr(body, sigma)
         sobserve = subst_type_vars(observe_at, sigma)
         gamma1: dict[str, Expr] = {}
         gamma2: dict[str, Expr] = {}
-        gen_ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "genctx", trial), budget=60)
         for xi, (x, xs) in enumerate(gamma.items()):
             sx = subst_type_vars(xs, sigma)
-            v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), gen_ctx)
+            v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), pool)
             gamma1[x] = v1
             gamma2[x] = v2
         e1 = subst_term(sbody, gamma1)
@@ -664,6 +628,7 @@ def prni_test(
             )
         if not (isinstance(r1, Value) and isinstance(r2, Value)):
             continue  # termination-insensitive
+        compared += 1
         ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "check", trial))
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:
@@ -684,4 +649,5 @@ def prni_test(
         substs_tested=len(substs),
         max_k=config.k,
         seed=config.seed,
+        compared=compared,
     )

@@ -154,7 +154,10 @@ class TestPrniCommand:
         omega = str(corpus_dir() / "omega.gobsec")
         res = runner.invoke(main, ["prni", omega, "--seed", "1", "--json"])
         assert res.exit_code == 0, res.output
-        assert json.loads(res.output)["trials"] == 1
+        verdict = json.loads(res.output)
+        assert verdict["trials"] == 1
+        # The one trial diverges, so nothing was compared.
+        assert verdict["compared"] == 0
 
 
 class TestCorpusCommand:
@@ -185,15 +188,15 @@ class TestCorpusCommand:
         res = runner.invoke(main, ["corpus", str(tmp_path), "--seed", "1", "--json"])
         assert res.exit_code == 1
         [result] = json.loads(res.output)["results"]
-        assert result["detail"] == "no counterexample found in 1 pairs"
+        assert result["detail"] == "no counterexample found in 1 pairs (1 compared)"
 
     def test_test_programs_meet_their_expectations(self, runner):
-        # Object-input programs kept out of the shipped corpus.
+        # Object- and list-input programs kept out of the shipped corpus.
         programs = Path(__file__).parent / "programs"
         res = runner.invoke(main, ["corpus", str(programs), "--json", "--seed", "1", "--pairs", "50"])
         assert res.exit_code == 0, res.output
         payload = json.loads(res.output)
-        assert (payload["passed"], payload["failed"]) == (2, 0)
+        assert (payload["passed"], payload["failed"]) == (5, 0)
 
 
 @pytest.mark.parametrize(

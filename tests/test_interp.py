@@ -23,7 +23,7 @@ from gobsec.interp import (
     theta,
 )
 from gobsec.parser import parse_expr, parse_program, pretty_print
-from gobsec.prni import ProbeContext, default_pool, gen_related_pair, sample_subst
+from gobsec.prni import default_pool, gen_related_pair, sample_subst
 from gobsec.syntax import (
     FALSE,
     Invoke,
@@ -207,7 +207,7 @@ def corpus_closures():
             sigma = sample_subst(dict(prog.tvars), pool, rng) if prog.tvars else {}
             body = subst_type_vars_expr(prog.body, sigma)
             pairs = {
-                x: gen_related_pair(subst_type_vars(s, sigma), 6, rng, ProbeContext(pool=pool))
+                x: gen_related_pair(subst_type_vars(s, sigma), 6, rng, pool=pool)
                 for x, s in prog.vars.items()
             }
             for side in (0, 1):

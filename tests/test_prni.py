@@ -126,6 +126,15 @@ class TestGenRelatedPair:
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), 6, _rng(seed))
             assert v1 == v2
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_primitive_pairs_are_certified_at_a_fixed_depth(self, k):
+        # At k <= 1 the relation relates every pair, so a check at depth k
+        # would certify unequal strings at an equality policy. A list's
+        # deep elements are generated at such depths.
+        for seed in range(200):
+            v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), k, _rng(seed))
+            assert v1 == v2
+
     def test_hash_policy_pairs_certified(self):
         for seed in range(40):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_HASH_EQ), 6, _rng(seed))
@@ -299,6 +308,14 @@ class TestPrniTest:
         # The secure twin: `G` exposes the observed method.
         p = parse_program((PROGRAMS / "object_policy.gobsec").read_text())
         v = prni_test(p, parse_sectype("String!"), self.cfg(pairs=50, seed=1))
+        assert isinstance(v, NoCounterexample)
+
+    def test_deep_list_elements_stay_related(self):
+        # At this seed an element four levels down is a pair of unequal
+        # strings at `StringEq` unless elements are certified at a fixed
+        # depth; membership testing then tells the two lists apart.
+        p = parse_program((corpus_dir() / "list_contains.gobsec").read_text(encoding="utf-8"))
+        v = prni_test(p, p.expect.at, PrniConfig(pairs=25, seed=581))
         assert isinstance(v, NoCounterexample)
 
     def test_requires_simple_typing(self):
