@@ -53,6 +53,7 @@ from .syntax import (
     assume_self,
     canon,
     canon_delta,
+    free_self_vars,
     is_top,
     iter_subterms,
     rename_self_var,
@@ -79,8 +80,6 @@ def _goal_key(delta: TypeVarEnv, sigma: SubAssumptions, u1, u2, tag: str) -> tup
     # its derivation; pruning the rest lets a goal that recurs under fresh
     # (irrelevant) assumptions hit the in-flight set and close the
     # coinductive loop.
-    from .syntax import free_self_vars
-
     fsv1 = free_self_vars(u1)
     fsv2 = free_self_vars(u2)
     live = tuple(

@@ -16,6 +16,12 @@ generic type variables.
 All nodes are frozen; substitution returns new trees and is
 capture-avoiding with respect to every binder kind (term parameters and
 self names, object-type self variables, signature type parameters).
+
+Type nodes cache their canonical key (`canon`) and their free self
+variables in the instance dictionary, outside the dataclass fields, so
+`==`, `hash` and `repr` never see the caches. The caches are only sound
+because nodes are immutable: a node must never be mutated, not even
+through `object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -338,31 +344,33 @@ def _ftv(x: object, bound: frozenset[str], out: set[str]) -> None:
     # Prim, SelfVar, PrimSig, PrimStar: no generic variables
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def free_self_vars(x: object) -> frozenset[str]:
     """Free self type variables of a type, signature, or security type."""
-    out: set[str] = set()
-    _fsv(x, frozenset(), out)
-    return frozenset(out)
+    return _fsv(x)
 
 
-def _fsv(x: object, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(x, SelfVar):
-        if x.name not in bound:
-            out.add(x.name)
-    elif isinstance(x, ObjType):
-        inner = bound | {x.self_var}
-        for _, sig in x.methods:
-            _fsv(sig, inner, out)
-    elif isinstance(x, GenericSig):
-        for tp in x.tparams:
-            _fsv(tp.lower, bound, out)
-            _fsv(tp.upper, bound, out)
-        for a in x.args:
-            _fsv(a, bound, out)
-        _fsv(x.ret, bound, out)
-    elif isinstance(x, Faceted):
-        _fsv(x.safety, bound, out)
-        _fsv(x.decl, bound, out)
+def _fsv(x) -> frozenset[str]:
+    # Built from the children's cached answers and stored on the node.
+    memo = x.__dict__
+    out = memo.get("_fsv")
+    if out is None:
+        if isinstance(x, SelfVar):
+            out = frozenset((x.name,))
+        elif isinstance(x, ObjType):
+            out = _NO_NAMES.union(*(_fsv(s) for _, s in x.methods)) - {x.self_var}
+        elif isinstance(x, GenericSig):
+            out = _fsv(x.ret).union(
+                *(_fsv(tp.lower) | _fsv(tp.upper) for tp in x.tparams), *(_fsv(a) for a in x.args)
+            )
+        elif isinstance(x, Faceted):
+            out = _fsv(x.safety) | _fsv(x.decl)
+        else:
+            out = _NO_NAMES  # Prim, TypeVar, PrimSig, PrimStar
+        memo["_fsv"] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,39 +467,39 @@ def subst_self_var(target, obj: Type, name: str):
     """Replace free occurrences of self variable `name` by `obj`.
 
     Inner object types binding the same name shadow it; inner binders that
-    would capture a free self variable of `obj` are renamed.
+    would capture a free self variable of `obj` are renamed. Subtrees in
+    which `name` is not free are returned as they are, shared.
     """
-    return _ssv(target, obj, name)
+    return _ssv(target, obj, name, _fsv(obj))
 
 
-def _ssv(x, obj: Type, name: str):
+def _ssv(x, obj: Type, name: str, obj_fsv: frozenset[str]):
+    if name not in _fsv(x):
+        return x  # no free occurrence, or shadowed
     if isinstance(x, SelfVar):
-        return obj if x.name == name else x
-    if isinstance(x, (Prim, TypeVar, PrimSig, PrimStar)):
-        return x
+        return obj
     if isinstance(x, ObjType):
-        if x.self_var == name:
-            return x  # shadowed
-        if x.self_var in free_self_vars(obj):
-            renamed = rename_self_var(x, fresh(x.self_var))
-            return _ssv(renamed, obj, name)
-        new = tuple((m, _ssv(s, obj, name)) for m, s in x.methods)
-        return x if new == x.methods else ObjType(x.self_var, new)
+        if x.self_var in obj_fsv:
+            x = rename_self_var(x, fresh(x.self_var))
+        return ObjType(x.self_var, tuple((m, _ssv(s, obj, name, obj_fsv)) for m, s in x.methods))
     if isinstance(x, Faceted):
-        return Faceted(_ssv(x.safety, obj, name), _ssv(x.decl, obj, name))
+        return Faceted(_ssv(x.safety, obj, name, obj_fsv), _ssv(x.decl, obj, name, obj_fsv))
     if isinstance(x, GenericSig):
         return GenericSig(
-            tuple(TParam(tp.name, _ssv(tp.lower, obj, name), _ssv(tp.upper, obj, name)) for tp in x.tparams),
-            tuple(_ssv(a, obj, name) for a in x.args),
-            _ssv(x.ret, obj, name),
+            tuple(
+                TParam(tp.name, _ssv(tp.lower, obj, name, obj_fsv), _ssv(tp.upper, obj, name, obj_fsv))
+                for tp in x.tparams
+            ),
+            tuple(_ssv(a, obj, name, obj_fsv) for a in x.args),
+            _ssv(x.ret, obj, name, obj_fsv),
         )
     raise GobsecError(f"cannot substitute self variable in {type(x).__name__}")
 
 
 def rename_self_var(o: ObjType, newname: str) -> ObjType:
     """Alpha-rename an object type's binder."""
-    body = ObjType(newname, tuple((m, _ssv(s, SelfVar(newname), o.self_var)) for m, s in o.methods))
-    return body
+    image, image_fsv = SelfVar(newname), frozenset((newname,))
+    return ObjType(newname, tuple((m, _ssv(s, image, o.self_var, image_fsv)) for m, s in o.methods))
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +610,13 @@ def canon(x) -> tuple:
     Bound self variables and signature type parameters are numbered by
     binder depth, so alpha-equivalent trees have equal canonical forms.
     Free self variables and free generic variables keep their names.
-    Record entries are sorted by method name.
+    Record entries are sorted by method name. Computed once per node.
     """
-    return _canon(x, {}, {})
+    memo = x.__dict__
+    key = memo.get("_canon")
+    if key is None:
+        key = memo["_canon"] = _canon(x, {}, {})
+    return key
 
 
 def _canon(x, senv: dict[str, int], genv: dict[str, int]) -> tuple:

@@ -24,6 +24,7 @@ from gobsec.syntax import (
     alpha_eq,
     alpha_eq_expr,
     canon,
+    free_self_vars,
     free_type_vars,
     public,
     subst_self_var,
@@ -133,6 +134,34 @@ class TestSubstSelfVar:
         sig = GenericSig((), (public(STRING),), public(STRING))
         assert subst_self_var(sig, STRING_LEN, "al") == sig
 
+    def test_no_free_occurrence_shares_the_target(self):
+        # Subtrees in which the variable is not free come back as they are,
+        # so their cached keys carry over to the result.
+        inner = ObjType("al", (("m", GenericSig((), (public(Prim("Unit")),), Faceted(SelfVar("al"), TOP))),))
+        sig = GenericSig((), (public(inner),), Faceted(SelfVar("be"), TOP))
+        got = subst_self_var(sig, STRING_LEN, "be")
+        assert got.args[0] is sig.args[0]
+        assert subst_self_var(sig, STRING_LEN, "al") is sig
+
+    def test_inner_binder_free_in_the_image_is_renamed(self):
+        # The image mentions a free self variable b; the signature's inner
+        # object type binds b. Substituting must rename that binder, or the
+        # image's b would be captured by it.
+        unit = public(Prim("Unit"))
+        image = ObjType("o", (("n", GenericSig((), (unit,), Faceted(SelfVar("b"), TOP))),))
+
+        def inner(binder, hole):
+            return ObjType(binder, (("m", GenericSig((), (Faceted(SelfVar(binder), TOP),), Faceted(hole, TOP))),))
+
+        sig = GenericSig((), (unit,), Faceted(inner("b", SelfVar("al")), TOP))
+        got = subst_self_var(sig, image, "al")
+        want = GenericSig((), (unit,), Faceted(inner("c", image), TOP))
+        assert canon(got) == canon(want)
+        assert got.ret.safety.self_var != "b"
+        assert free_self_vars(got) == {"b"}
+        # The image's b stays free inside the result: the image is shared.
+        assert got.ret.safety.methods[0][1].ret.safety is image
+
     def test_unfolding_is_equivalent(self):
         from gobsec.algebra import type_equiv, unfold
 
@@ -184,6 +213,68 @@ class TestAlpha:
         e1 = Invoke(ObjectLit("z", s, (MethodDef("id", ("x",), Var("x")),)), "id", (), (PrimLit(5, "Int"),))
         e2 = Invoke(ObjectLit("w", s, (MethodDef("id", ("q",), Var("q")),)), "id", (), (PrimLit(5, "Int"),))
         assert evaluate(e1).expr == evaluate(e2).expr
+
+
+def _fresh_copy(x):
+    """A structurally equal tree that shares no node with `x`."""
+    if isinstance(x, tuple):
+        return tuple(_fresh_copy(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_fresh_copy(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+def _nodes(x):
+    """Every dataclass node of a type, signature or security type."""
+    if isinstance(x, tuple):
+        for v in x:
+            yield from _nodes(v)
+    elif dataclasses.is_dataclass(x):
+        yield x
+        for f in dataclasses.fields(x):
+            yield from _nodes(getattr(x, f.name))
+
+
+def _free_self_vars_by_walk(x, bound=frozenset()):
+    """Reference: free self variables by a walk carrying the bound names."""
+    if isinstance(x, SelfVar):
+        return {x.name} - bound
+    if isinstance(x, ObjType):
+        bound = bound | {x.self_var}
+    if isinstance(x, tuple):
+        kids = x
+    elif dataclasses.is_dataclass(x):
+        kids = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    else:
+        return set()
+    return set().union(*(_free_self_vars_by_walk(k, bound) for k in kids))
+
+
+def test_node_caches_are_invisible():
+    rng = random.Random(11)
+    for _ in range(2000):
+        t = random_closed_type(rng, 2)
+        cold = _fresh_copy(t)
+        for node, twin in zip(_nodes(t), _nodes(cold)):
+            if isinstance(node, TParam):
+                continue  # no canonical form of its own
+            # The answer that fills the cache is the answer read from it ...
+            first = (canon(node), free_self_vars(node))
+            assert first[1] == _free_self_vars_by_walk(node)
+            assert (canon(node), free_self_vars(node)) == first
+            # ... and a structurally equal node built afresh agrees.
+            assert first == (canon(twin), free_self_vars(twin))
+            if isinstance(node, ObjType):
+                uncached = _fresh_copy(node)
+                for (_, s), (_, s_cold) in zip(node.methods, uncached.methods):
+                    got = subst_self_var(s, node, node.self_var)
+                    assert canon(got) == canon(subst_self_var(s_cold, uncached, node.self_var))
+        # Every node of t now holds its caches; a fresh copy still compares,
+        # hashes and prints the same.
+        uncached = _fresh_copy(t)
+        assert t == uncached and uncached == t
+        assert hash(t) == hash(uncached)
+        assert repr(t) == repr(uncached)
 
 
 def test_nodes_are_immutable():
