@@ -1,15 +1,15 @@
 """Compare the working tree with a parent commit on the gobsec benchmark
 and write the before/after summary as JSON.
 
-    python3 scripts/bench_pairs.py --out BENCH_11.json --seeds 1101-1110
-    python3 scripts/bench_pairs.py --out /tmp/b.json --parent HEAD~1 \\
-        --workloads typing --seeds 5-7 --seconds 10
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_11.json --seeds 1101-1110
 
 The parent commit's files are exported with `git archive` into a
-temporary directory; the change is the working tree this script sits in.
-For each workload and seed it runs
+temporary directory; the change is the working tree this script sits in,
+committed or not. The script stops if the parent's tracked files equal
+the working tree's, since both sides would then run the same code. For
+each workload that BENCHMARK.json lists and each seed it runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
 
 once on each side, the parent first at the 1st, 3rd, 5th ... seed and
 the change first at the others, so a drift of the machine's speed falls
@@ -23,7 +23,9 @@ change's median over the parent's, the pairs the change wins, the
 parent's quartile distance, and `worse_by` (the relative change in the
 metric's bad direction). The `typing` workload also reports how many law
 samples each side drew against its sample pool, so a gain from revisited
-samples shows. Nothing under perfbench/ is changed or patched.
+samples shows. The run length is BENCHMARK.json's `run_seconds`. The
+report records the command line that wrote it. Nothing under perfbench/
+is changed or patched.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def export_commit(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return sha
+
+
+def same_tree(sha: str) -> bool:
+    """True when the tracked files of the working tree equal commit `sha`'s."""
+    return subprocess.run(["git", "diff", "--quiet", sha, "--"], cwd=ROOT).returncode == 0
 
 
 def run_once(tree: Path, pycache: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,29 +136,30 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
+    ap.add_argument("--parent", required=True, help="commit to compare the working tree against")
     ap.add_argument("--seeds", default="1101-1110", type=parse_seeds, help="one pair per seed")
-    ap.add_argument("--seconds", default=30.0, type=float)
-    ap.add_argument("--workloads", nargs="+", default=["typing", "fuzz-eval", "corpus-prni"])
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two seeds")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
         trees = {"parent": tmp / "parent", "change": ROOT}
         sha = export_commit(args.parent, trees["parent"])
+        if same_tree(sha):
+            ap.error(f"the working tree's tracked files equal {args.parent}'s; name the commit before the change")
         caches = {side: tmp / f"pycache-{side}" for side in SIDES}
         workloads = {}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for k, seed in enumerate(args.seeds):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], caches[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], caches[side], workload, seed, seconds)
                     m = pair[side]["result"]["metrics"]
                     print(f"{workload} seed {seed} {side}: exit {pair[side]['exit']}, "
                           + ", ".join(f"{n} {m[n]['value']:.4g}" for n in better), file=sys.stderr)
@@ -159,9 +167,10 @@ def main(argv=None) -> int:
             workloads[workload] = summarize(pairs, better)
 
     report = {
+        "command": ["python3", "scripts/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)],
         "parent": sha,
         "method": (
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0 "
             f"on the parent commit (exported with git archive) and on the working tree, one pair per "
             f"seed, the parent first at the 1st, 3rd, ... seed; each side with its own bytecode cache. "
             f"Per metric: median and quartiles (inclusive method) of each side's runs, change median "

@@ -367,8 +367,10 @@ def _fsv(x) -> frozenset[str]:
             )
         elif isinstance(x, Faceted):
             out = _fsv(x.safety) | _fsv(x.decl)
+        elif isinstance(x, (Prim, TypeVar, PrimSig, PrimStar)):
+            out = _NO_NAMES
         else:
-            out = _NO_NAMES  # Prim, TypeVar, PrimSig, PrimStar
+            raise GobsecError(f"no self variables in {type(x).__name__}")
         memo["_fsv"] = out
     return out
 
@@ -475,7 +477,7 @@ def subst_self_var(target, obj: Type, name: str):
 
 def _ssv(x, obj: Type, name: str, obj_fsv: frozenset[str]):
     if name not in _fsv(x):
-        return x  # no free occurrence, or shadowed
+        return x  # no free occurrence, or shadowed; always so at Prim, TypeVar, PrimSig, PrimStar
     if isinstance(x, SelfVar):
         return obj
     if isinstance(x, ObjType):
@@ -493,7 +495,6 @@ def _ssv(x, obj: Type, name: str, obj_fsv: frozenset[str]):
             tuple(_ssv(a, obj, name, obj_fsv) for a in x.args),
             _ssv(x.ret, obj, name, obj_fsv),
         )
-    raise GobsecError(f"cannot substitute self variable in {type(x).__name__}")
 
 
 def rename_self_var(o: ObjType, newname: str) -> ObjType:

@@ -11,6 +11,7 @@ from gobsec.syntax import (
     TOP,
     Faceted,
     GenericSig,
+    GobsecError,
     Invoke,
     MethodDef,
     ObjType,
@@ -161,6 +162,12 @@ class TestSubstSelfVar:
         assert free_self_vars(got) == {"b"}
         # The image's b stays free inside the result: the image is shared.
         assert got.ret.safety.methods[0][1].ret.safety is image
+
+    def test_non_type_is_rejected(self):
+        with pytest.raises(GobsecError):
+            free_self_vars(Var("x"))
+        with pytest.raises(GobsecError):
+            subst_self_var(Var("x"), STRING_LEN, "al")
 
     def test_unfolding_is_equivalent(self):
         from gobsec.algebra import type_equiv, unfold
