@@ -54,6 +54,7 @@ from .syntax import (
     alpha_eq,
     fresh,
     free_self_vars,
+    free_type_vars,
     is_top,
     rename_self_var,
     subst_type_vars,
@@ -273,7 +274,11 @@ class _Parser:
                         self.err(f"recursive alias {name} must define an object type")
                     binder = fresh(body.self_var)
                     body = rename_self_var(body, binder)
-                    body = subst_type_vars(body, {marker.name: SelfVar(binder)})
+                    # Inside the methods, under the binder: the recursive
+                    # uses must be bound by it, which a substitution on
+                    # the whole body would avoid by renaming it.
+                    loop = {marker.name: SelfVar(binder)}
+                    body = ObjType(binder, tuple((m, subst_type_vars(s, loop)) for m, s in body.methods))
                 self.aliases[name] = Alias(name, tuple(params), body)
                 prog.aliases[name] = self.aliases[name]
             elif self.at("kw", "tvar"):
@@ -626,8 +631,6 @@ class _Parser:
 
 
 def _marker_names(t) -> frozenset[str]:
-    from .syntax import free_type_vars
-
     return frozenset(n for n in free_type_vars(t) if n.startswith("%alias:"))
 
 

@@ -605,15 +605,23 @@ def prni_test(
     pairs = config.pairs
     if not delta and not gamma:
         pairs = min(pairs, 1)  # a closed program runs deterministically
+    # The body, the observation type and the input types under each
+    # substitution, computed once rather than per trial.
+    instances = [
+        (
+            sigma,
+            subst_type_vars_expr(body, sigma),
+            subst_type_vars(observe_at, sigma),
+            [subst_type_vars(xs, sigma) for xs in gamma.values()],
+        )
+        for sigma in substs
+    ]
     compared = 0
     for trial in range(pairs):
-        sigma = substs[trial % len(substs)]
-        sbody = subst_type_vars_expr(body, sigma)
-        sobserve = subst_type_vars(observe_at, sigma)
+        sigma, sbody, sobserve, sxs = instances[trial % len(instances)]
         gamma1: dict[str, Expr] = {}
         gamma2: dict[str, Expr] = {}
-        for xi, (x, xs) in enumerate(gamma.items()):
-            sx = subst_type_vars(xs, sigma)
+        for xi, (x, sx) in enumerate(zip(gamma, sxs)):
             v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), pool)
             gamma1[x] = v1
             gamma2[x] = v2

@@ -30,7 +30,6 @@ exhaustive universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .algebra import meths, rename_tparams, soundsig, type_equiv, unfold
 from .syntax import (
@@ -66,13 +65,6 @@ class IllFormedInput(GobsecError):
 
 class BudgetExceeded(GobsecError):
     """The declarative search ran out of derivation depth undecided."""
-
-
-@dataclass
-class SubGoalCache:
-    """Goals currently assumed while their derivation is attempted."""
-
-    in_flight: set = field(default_factory=set)
 
 
 def _goal_key(delta: TypeVarEnv, sigma: SubAssumptions, u1, u2, tag: str) -> tuple:
@@ -111,7 +103,7 @@ def sub_type(
     standard signature above a primitive signature; this variant is what
     the facet-wise well-formedness check uses.
     """
-    return _sub(delta, sigma, u1, u2, allow_ig, SubGoalCache(), 0)
+    return _sub(delta, sigma, u1, u2, allow_ig, set(), 0)
 
 
 def simple_sub_type(t1, t2) -> bool:
@@ -138,34 +130,34 @@ def _erase(x):
     return x
 
 
-def _sub(delta, sigma, u1, u2, allow_ig, cache: SubGoalCache, depth: int) -> bool:
+def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set, depth: int) -> bool:
     if type_equiv(u1, u2):
         return True
     if is_top(u2):
         return True
 
     key = _goal_key(delta, sigma, u1, u2, "ig" if allow_ig else "sub")
-    if key in cache.in_flight:
+    if key in in_flight:
         return True
-    cache.in_flight.add(key)
+    in_flight.add(key)
     try:
-        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth)
+        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight, depth)
     finally:
-        cache.in_flight.discard(key)
+        in_flight.discard(key)
 
 
-def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth) -> bool:
+def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight, depth) -> bool:
     # Generic variable on the left: through its upper bound.
     if isinstance(u1, TypeVar):
         if u1.name not in delta:
             raise IllFormedInput(f"unbound type variable {u1.name}")
-        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, cache, depth):
+        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, in_flight, depth):
             return True
     # Generic variable on the right: through its lower bound.
     if isinstance(u2, TypeVar):
         if u2.name not in delta:
             raise IllFormedInput(f"unbound type variable {u2.name}")
-        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, cache, depth)
+        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, in_flight, depth)
     if isinstance(u1, TypeVar):
         return False
 
@@ -183,20 +175,20 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, cache, depth) -> bool:
         # A primitive interface consists of primitive signatures only, so a
         # standard signature above one is accepted exactly when it is a
         # sound declassification of it.
-        return _sub_record(delta, sigma2, meths(u1.kind), r2, True, cache, depth + 1)
+        return _sub_record(delta, sigma2, meths(u1.kind), r2, True, in_flight, depth + 1)
 
     if isinstance(u1, ObjType) and isinstance(u2, ObjType):
         alpha, beta = f"%a{depth}", f"%b{depth}"
         r1 = rename_self_var(u1, alpha).methods
         r2 = rename_self_var(u2, beta).methods
         sigma2 = assume_self(sigma, alpha, beta)
-        if _sub_record(delta, sigma2, r1, r2, allow_ig, cache, depth + 1):
+        if _sub_record(delta, sigma2, r1, r2, allow_ig, in_flight, depth + 1):
             return True
         # Retry on one-level unfoldings: recovers goals whose left and
         # right mix folded and unfolded spellings of recursive types.
         v1, v2 = unfold(u1), unfold(u2)
         if (canon(v1), canon(v2)) != (canon(u1), canon(u2)):
-            return _sub(delta, sigma, v1, v2, allow_ig, cache, depth)
+            return _sub(delta, sigma, v1, v2, allow_ig, in_flight, depth)
         return False
 
     # Object type below a primitive kind: no rule.
@@ -212,16 +204,16 @@ def sub_record(
     allow_ig: bool = False,
 ) -> bool:
     """Width and depth subtyping between two method records."""
-    return _sub_record(delta, sigma, r1, r2, allow_ig, SubGoalCache(), 0)
+    return _sub_record(delta, sigma, r1, r2, allow_ig, set(), 0)
 
 
-def _sub_record(delta, sigma, r1, r2, allow_ig, cache, depth) -> bool:
+def _sub_record(delta, sigma, r1, r2, allow_ig, in_flight, depth) -> bool:
     left = dict(r1)
     for name, sig2 in r2:
         sig1 = left.get(name)
         if sig1 is None:
             return False
-        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, cache, depth):
+        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, in_flight, depth):
             return False
     return True
 
@@ -238,40 +230,40 @@ def sub_sig(
     then contravariant arguments and covariant return; primitive
     signatures are below themselves only (and, under `allow_ig`, below
     sound standard signatures)."""
-    return _sub_sig(delta, sigma, m1, m2, allow_ig, SubGoalCache(), 0)
+    return _sub_sig(delta, sigma, m1, m2, allow_ig, set(), 0)
 
 
-def _sub_sig(delta, sigma, m1, m2, allow_ig, cache, depth) -> bool:
+def _sub_sig(delta, sigma, m1, m2, allow_ig, in_flight, depth) -> bool:
     if isinstance(m1, PrimSig) and isinstance(m2, PrimSig):
         return m1 == m2
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig):
         if not allow_ig:
             return False
-        return _ig_ok(delta, sigma, m1, m2, cache, depth)
+        return _ig_ok(delta, sigma, m1, m2, in_flight, depth)
     if isinstance(m1, GenericSig) and isinstance(m2, PrimSig):
         return False
-    return _sub_generic(delta, sigma, m1, m2, allow_ig, cache, depth)
+    return _sub_generic(delta, sigma, m1, m2, allow_ig, in_flight, depth)
 
 
-def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, cache, depth) -> bool:
+def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, in_flight, depth) -> bool:
     if len(m1.args) != len(m2.args) or len(m1.tparams) != len(m2.tparams):
         return False
     m1, m2 = rename_tparams(m1, f"%X{depth}."), rename_tparams(m2, f"%X{depth}.")
     inner = dict(delta)
     for tp1, tp2 in zip(m1.tparams, m2.tparams):
         # Bounds of the supertype must lie inside the bounds of the subtype.
-        if not _sub(inner, sigma, tp2.upper, tp1.upper, allow_ig, cache, depth):
+        if not _sub(inner, sigma, tp2.upper, tp1.upper, allow_ig, in_flight, depth):
             return False
-        if not _sub(inner, sigma, tp1.lower, tp2.lower, allow_ig, cache, depth):
+        if not _sub(inner, sigma, tp1.lower, tp2.lower, allow_ig, in_flight, depth):
             return False
         inner[tp1.name] = (tp2.lower, tp2.upper)
     for a1, a2 in zip(m1.args, m2.args):
-        if not _sub_sectype(inner, sigma, a2, a1, allow_ig, cache, depth):
+        if not _sub_sectype(inner, sigma, a2, a1, allow_ig, in_flight, depth):
             return False
-    return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, cache, depth)
+    return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, in_flight, depth)
 
 
-def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, cache, depth) -> bool:
+def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight, depth) -> bool:
     """A standard signature declassifying a primitive one: contravariant
     argument safety, covariant return safety, and the signature is sound
     (public primitive arguments or private return)."""
@@ -283,11 +275,11 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, cache, depth) -> bool:
     for kind, arg in zip(prim.arg_kinds, gen.args):
         if not isinstance(arg, Faceted):
             return False
-        if not _sub(inner, sigma, arg.safety, Prim(kind), True, cache, depth):
+        if not _sub(inner, sigma, arg.safety, Prim(kind), True, in_flight, depth):
             return False
     if not isinstance(gen.ret, Faceted):
         return False
-    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, cache, depth):
+    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight, depth):
         return False
     return soundsig(gen)
 
@@ -301,13 +293,13 @@ def sub_sectype(
     allow_ig: bool = False,
 ) -> bool:
     """Pointwise subtyping of the two facets."""
-    return _sub_sectype(delta, sigma, s1, s2, allow_ig, SubGoalCache(), 0)
+    return _sub_sectype(delta, sigma, s1, s2, allow_ig, set(), 0)
 
 
-def _sub_sectype(delta, sigma, s1, s2, allow_ig, cache, depth) -> bool:
+def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight, depth) -> bool:
     if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, cache, depth) and _sub(
-            delta, sigma, s1.decl, s2.decl, allow_ig, cache, depth
+        return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight, depth) and _sub(
+            delta, sigma, s1.decl, s2.decl, allow_ig, in_flight, depth
         )
     return s1 == s2
 

@@ -17,11 +17,13 @@ All nodes are frozen; substitution returns new trees and is
 capture-avoiding with respect to every binder kind (term parameters and
 self names, object-type self variables, signature type parameters).
 
-Type nodes cache their canonical key (`canon`) and their free self
-variables in the instance dictionary, outside the dataclass fields, so
-`==`, `hash` and `repr` never see the caches. The caches are only sound
-because nodes are immutable: a node must never be mutated, not even
-through `object.__setattr__`.
+Type nodes cache their canonical key (`canon`) and their free self and
+generic variables in the instance dictionary, outside the dataclass
+fields, so `==`, `hash` and `repr` never see the caches. One walker,
+`_subst`, substitutes both kinds of type variable; it returns the
+subtrees in which no replaced variable is free as they are, caches
+included. The caches are only sound because nodes are immutable: a node
+must never be mutated, not even through `object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -314,114 +316,128 @@ def fresh(base: str = "a") -> str:
 # Free variables
 # ---------------------------------------------------------------------------
 
-
-def free_type_vars(x: object) -> frozenset[str]:
-    """Free generic type variables of a type, signature, or security type."""
-    out: set[str] = set()
-    _ftv(x, frozenset(), out)
-    return frozenset(out)
-
-
-def _ftv(x: object, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(x, TypeVar):
-        if x.name not in bound:
-            out.add(x.name)
-    elif isinstance(x, ObjType):
-        for _, sig in x.methods:
-            _ftv(sig, bound, out)
-    elif isinstance(x, GenericSig):
-        inner = bound
-        for tp in x.tparams:
-            _ftv(tp.lower, inner, out)
-            _ftv(tp.upper, inner, out)
-            inner = inner | {tp.name}
-        for a in x.args:
-            _ftv(a, inner, out)
-        _ftv(x.ret, inner, out)
-    elif isinstance(x, Faceted):
-        _ftv(x.safety, bound, out)
-        _ftv(x.decl, bound, out)
-    # Prim, SelfVar, PrimSig, PrimStar: no generic variables
-
-
 _NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_self_vars(x: object) -> frozenset[str]:
     """Free self type variables of a type, signature, or security type."""
-    return _fsv(x)
+    return _fv(x)[0]
 
 
-def _fsv(x) -> frozenset[str]:
-    # Built from the children's cached answers and stored on the node.
+def free_type_vars(x: object) -> frozenset[str]:
+    """Free generic type variables of a type, signature, or security type."""
+    return _fv(x)[1]
+
+
+def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
+    # (free self names, free generic names), built from the children's
+    # cached answers and stored on the node.
     memo = x.__dict__
-    out = memo.get("_fsv")
+    out = memo.get("_fv")
     if out is None:
         if isinstance(x, SelfVar):
-            out = frozenset((x.name,))
+            out = (frozenset((x.name,)), _NO_NAMES)
+        elif isinstance(x, TypeVar):
+            out = (_NO_NAMES, frozenset((x.name,)))
         elif isinstance(x, ObjType):
-            out = _NO_NAMES.union(*(_fsv(s) for _, s in x.methods)) - {x.self_var}
+            selfs, gens = _fv_union(s for _, s in x.methods)
+            out = (selfs - {x.self_var}, gens)
         elif isinstance(x, GenericSig):
-            out = _fsv(x.ret).union(
-                *(_fsv(tp.lower) | _fsv(tp.upper) for tp in x.tparams), *(_fsv(a) for a in x.args)
-            )
+            selfs, gens = _fv_union((*x.args, x.ret))
+            # Walk the parameters backwards: each binds in what follows it,
+            # but not in its own bounds.
+            for tp in reversed(x.tparams):
+                bs, bg = _fv_union((tp.lower, tp.upper))
+                selfs, gens = selfs | bs, (gens - {tp.name}) | bg
+            out = (selfs, gens)
         elif isinstance(x, Faceted):
-            out = _fsv(x.safety) | _fsv(x.decl)
-        elif isinstance(x, (Prim, TypeVar, PrimSig, PrimStar)):
-            out = _NO_NAMES
+            out = _fv_union((x.safety, x.decl))
+        elif isinstance(x, (Prim, PrimSig, PrimStar)):
+            out = (_NO_NAMES, _NO_NAMES)
         else:
-            raise GobsecError(f"no self variables in {type(x).__name__}")
-        memo["_fsv"] = out
+            raise GobsecError(f"no type variables in {type(x).__name__}")
+        memo["_fv"] = out
     return out
 
 
+def _fv_union(xs) -> tuple[frozenset[str], frozenset[str]]:
+    selfs = gens = _NO_NAMES
+    for x in xs:
+        s, g = x.__dict__.get("_fv") or _fv(x)
+        if s:
+            selfs = selfs | s
+        if g:
+            gens = gens | g
+    return selfs, gens
+
+
 # ---------------------------------------------------------------------------
-# Substitution: generic type variables
+# Substitution: self and generic type variables
 # ---------------------------------------------------------------------------
+
+
+def subst_self_var(target, obj: Type, name: str):
+    """Replace the free occurrences of self variable `name` by `obj`."""
+    return _subst(target, {name: obj}, {}, _fv(obj))
+
+
+def rename_self_var(o: ObjType, newname: str) -> ObjType:
+    """Alpha-rename an object type's binder."""
+    image = SelfVar(newname)
+    return ObjType(newname, tuple((m, _subst(s, {o.self_var: image}, {}, _fv(image))) for m, s in o.methods))
 
 
 def subst_type_vars(target, sub: Mapping[str, DeclType]):
     """Simultaneously replace the free occurrences of each generic variable
-    named in `sub` by its image.
-
-    Images must be closed with respect to self variables. Signature type
-    parameters that would capture a free variable of an image are renamed.
-    An empty mapping returns `target` itself. Total; returns the same node
-    kind as `target`.
+    named in `sub` by its image. Returns the same node kind as `target`.
     """
     if not sub:
         return target
-    if isinstance(target, TypeVar):
-        return sub.get(target.name, target)
-    if isinstance(target, (Prim, SelfVar, PrimSig, PrimStar)):
-        return target
-    if isinstance(target, ObjType):
-        new = tuple((m, subst_type_vars(s, sub)) for m, s in target.methods)
-        return target if new == target.methods else ObjType(target.self_var, new)
-    if isinstance(target, Faceted):
-        return Faceted(subst_type_vars(target.safety, sub), subst_type_vars(target.decl, sub))
-    if isinstance(target, GenericSig):
-        return _stv_sig(target, sub)
-    raise GobsecError(f"cannot substitute type variable in {type(target).__name__}")
+    return _subst(target, {}, sub, _fv_union(sub.values()))
 
 
-def _stv_sig(sig: GenericSig, sub: Mapping[str, DeclType]) -> GenericSig:
-    sub = dict(sub)
-    tparams: list[TParam] = []
-    for tp in sig.tparams:
-        lo, hi = subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)
-        # The parameter shadows its own name from here on.
-        sub.pop(tp.name, None)
-        name = tp.name
-        if any(name in free_type_vars(v) for v in sub.values()):
-            # Rename it rather than capture a variable of an image.
+def _subst(x, selfs: Mapping[str, Type], gens: Mapping[str, DeclType], avoid):
+    """Capture-avoiding simultaneous substitution of self variables
+    (`selfs`) and generic variables (`gens`) in a type, signature, or
+    security type.
+
+    `avoid` is the images' free (self, generic) names: a binder among them
+    that scopes over a replaced occurrence is renamed, not left to capture.
+    Binders shadow their own name. A subtree in which no replaced variable
+    is free is returned as it is, shared, caches included.
+    """
+    fs, fg = x.__dict__.get("_fv") or _fv(x)
+    if fs.isdisjoint(selfs) and fg.isdisjoint(gens):
+        return x  # always so at Prim, PrimSig, PrimStar
+    if isinstance(x, Faceted):
+        return Faceted(_subst(x.safety, selfs, gens, avoid), _subst(x.decl, selfs, gens, avoid))
+    if isinstance(x, SelfVar):
+        return selfs[x.name]
+    if isinstance(x, TypeVar):
+        return gens[x.name]
+    if isinstance(x, ObjType):
+        name = x.self_var
+        if name in avoid[0]:
             name = fresh(name)
-            sub[tp.name] = TypeVar(name)
+            selfs = {**selfs, x.self_var: SelfVar(name)}
+        elif name in selfs:
+            selfs = {k: v for k, v in selfs.items() if k != name}
+        return ObjType(name, tuple((m, _subst(s, selfs, gens, avoid)) for m, s in x.methods))
+    # A GenericSig: every other node kind has returned by now.
+    tparams: list[TParam] = []
+    for tp in x.tparams:
+        lo, hi = _subst(tp.lower, selfs, gens, avoid), _subst(tp.upper, selfs, gens, avoid)
+        name = tp.name
+        if name in avoid[1]:
+            name = fresh(name)
+            gens = {**gens, tp.name: TypeVar(name)}
+        elif name in gens:
+            gens = {k: v for k, v in gens.items() if k != name}
         tparams.append(TParam(name, lo, hi))
     return GenericSig(
         tuple(tparams),
-        tuple(subst_type_vars(a, sub) for a in sig.args),
-        subst_type_vars(sig.ret, sub),
+        tuple(_subst(a, selfs, gens, avoid) for a in x.args),
+        _subst(x.ret, selfs, gens, avoid),
     )
 
 
@@ -458,49 +474,6 @@ def subst_type_vars_expr(e: Expr, sub: Mapping[str, DeclType]) -> Expr:
     if isinstance(e, Let):
         return Let(e.name, subst_type_vars_expr(e.bound, sub), subst_type_vars_expr(e.body, sub), e.span)
     raise GobsecError(f"unknown expression {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution: self type variables
-# ---------------------------------------------------------------------------
-
-
-def subst_self_var(target, obj: Type, name: str):
-    """Replace free occurrences of self variable `name` by `obj`.
-
-    Inner object types binding the same name shadow it; inner binders that
-    would capture a free self variable of `obj` are renamed. Subtrees in
-    which `name` is not free are returned as they are, shared.
-    """
-    return _ssv(target, obj, name, _fsv(obj))
-
-
-def _ssv(x, obj: Type, name: str, obj_fsv: frozenset[str]):
-    if name not in _fsv(x):
-        return x  # no free occurrence, or shadowed; always so at Prim, TypeVar, PrimSig, PrimStar
-    if isinstance(x, SelfVar):
-        return obj
-    if isinstance(x, ObjType):
-        if x.self_var in obj_fsv:
-            x = rename_self_var(x, fresh(x.self_var))
-        return ObjType(x.self_var, tuple((m, _ssv(s, obj, name, obj_fsv)) for m, s in x.methods))
-    if isinstance(x, Faceted):
-        return Faceted(_ssv(x.safety, obj, name, obj_fsv), _ssv(x.decl, obj, name, obj_fsv))
-    if isinstance(x, GenericSig):
-        return GenericSig(
-            tuple(
-                TParam(tp.name, _ssv(tp.lower, obj, name, obj_fsv), _ssv(tp.upper, obj, name, obj_fsv))
-                for tp in x.tparams
-            ),
-            tuple(_ssv(a, obj, name, obj_fsv) for a in x.args),
-            _ssv(x.ret, obj, name, obj_fsv),
-        )
-
-
-def rename_self_var(o: ObjType, newname: str) -> ObjType:
-    """Alpha-rename an object type's binder."""
-    image, image_fsv = SelfVar(newname), frozenset((newname,))
-    return ObjType(newname, tuple((m, _ssv(s, image, o.self_var, image_fsv)) for m, s in o.methods))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Golden output: the CLI's JSON output on the shipped corpus, byte for byte.
+"""Golden output: the CLI's JSON output on the shipped corpus and on
+`tests/programs`, byte for byte.
 
 A refactoring that keeps behaviour must keep these bytes. A change that
 means to alter them rewrites the files with
@@ -19,14 +20,24 @@ from gobsec.cli import corpus_dir, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# golden file name -> argument list built from a corpus file path (None: one
-# run over the whole corpus)
+
+def _prni(f: str) -> list[str]:
+    return ["prni", f, "--seed", "1", "--pairs", "25", "--json"]
+
+
+# golden file name -> argument list built from a program path (None: one run
+# over the whole corpus)
 COMMANDS = {
     "check.txt": lambda f: ["check", f, "--json"],
     "check_simple.txt": lambda f: ["check", "--simple", f, "--json"],
-    "prni.txt": lambda f: ["prni", f, "--seed", "1", "--pairs", "25", "--json"],
+    "prni.txt": _prni,
+    "prni_programs.txt": _prni,
     "corpus.txt": None,
 }
+
+# golden file name -> the directory whose programs it runs, where that is not
+# the shipped corpus
+PROGRAM_DIRS = {"prni_programs.txt": Path(__file__).parent / "programs"}
 
 
 def _run(args: list[str]) -> str:
@@ -40,7 +51,8 @@ def render(name: str) -> str:
     build = COMMANDS[name]
     if build is None:
         return _run(["corpus", "--json", "--seed", "42", "--pairs", "25"])
-    return "".join(_run(build(str(p))) for p in sorted(corpus_dir().glob("*.gobsec")))
+    programs = PROGRAM_DIRS.get(name) or corpus_dir()
+    return "".join(_run(build(str(p))) for p in sorted(programs.glob("*.gobsec")))
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -26,6 +26,7 @@ from gobsec.syntax import (
     Var,
     alpha_eq,
     alpha_eq_expr,
+    canon,
     is_top,
 )
 
@@ -84,6 +85,18 @@ class TestParseProgram:
         t = expand("B")
         assert t.sig("f").ret.decl == TypeVar("B")
         assert type_equiv(t, expand("C"))
+
+    def test_alias_argument_is_not_captured_by_the_alias_binder(self):
+        # Box's own binder is `a`; expanding Box<a> under an outer `a` must
+        # keep String<a> bound by the outer object, as the `b` spelling does.
+        def expand(binder: str):
+            p = parse_program(
+                "type Box<X : Top .. Top> = Obj(a)[ get : Unit! -> String<X> ]\n"
+                f"var v : Obj({binder})[ m : Unit! -> Box<{binder}>! ]!\nv"
+            )
+            return p.vars["v"]
+
+        assert canon(expand("a")) == canon(expand("b"))
 
     def test_alias_arity_error(self):
         with pytest.raises(ParseError):

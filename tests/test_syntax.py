@@ -60,6 +60,10 @@ class TestSubstTypeVar:
         sig = GenericSig((TParam("X", STRING, TOP),), (Faceted(STRING, TypeVar("Y")),), public(STRING))
         assert subst_type_vars(sig, {}) is sig
 
+    def test_no_free_occurrence_returns_the_target(self):
+        sig = GenericSig((TParam("X", STRING, TOP),), (Faceted(STRING, TypeVar("Y")),), public(STRING))
+        assert subst_type_vars(sig, {"Z": TOP}) is sig
+
     def test_simultaneous_images_are_not_substituted_again(self):
         s = Faceted(INT, TypeVar("X"))
         assert subst_type_vars(s, {"X": TypeVar("Y"), "Y": INT}) == Faceted(INT, TypeVar("Y"))
@@ -162,6 +166,24 @@ class TestSubstSelfVar:
         assert free_self_vars(got) == {"b"}
         # The image's b stays free inside the result: the image is shared.
         assert got.ret.safety.methods[0][1].ret.safety is image
+
+    def test_unfolding_renames_a_parameter_that_would_capture(self):
+        # X is free in t and m binds an X of its own: unfolding puts t
+        # under m's binder, which must be renamed rather than capture t's X.
+        unit = public(Prim("Unit"))
+        t = ObjType(
+            "o",
+            (
+                ("get", GenericSig((), (unit,), Faceted(INT, TypeVar("X")))),
+                ("m", GenericSig((TParam("X", TOP, TOP),), (unit,), public(SelfVar("o")))),
+            ),
+        )
+        from gobsec.algebra import unfold
+
+        m = unfold(t).sig("m")
+        assert free_type_vars(m) == {"X"}
+        assert m.tparams[0].name != "X"
+        assert m.ret.safety is t
 
     def test_non_type_is_rejected(self):
         with pytest.raises(GobsecError):
@@ -300,3 +322,12 @@ def test_free_type_vars():
         Faceted(STRING, TypeVar("Z")),
     )
     assert free_type_vars(sig) == {"Z"}
+    # A parameter binds in the later bounds and the body, not in its own
+    # bound or the earlier ones.
+    sig = GenericSig(
+        (TParam("X", TypeVar("Y"), TOP), TParam("Y", TypeVar("X"), TypeVar("Y"))),
+        (Faceted(STRING, TypeVar("Y")),),
+        Faceted(SelfVar("a"), TypeVar("Z")),
+    )
+    assert free_type_vars(sig) == {"Y", "Z"}
+    assert free_self_vars(sig) == {"a"}
