@@ -23,7 +23,7 @@ from pathlib import Path
 
 import click
 
-from .interp import DEFAULT_FUEL, Timeout, Value, evaluate
+from .interp import DEFAULT_FUEL, Timeout, Value, bind, evaluate
 from .parser import (
     ParseError,
     SourceProgram,
@@ -33,7 +33,7 @@ from .parser import (
     pretty_print,
 )
 from .prni import Counterexample, NoCounterexample, PrniConfig, prni_test, verdict_to_json
-from .syntax import GobsecError, is_value, subst_term
+from .syntax import GobsecError, is_value
 from .typecheck import TypeError_, sec_check, sec_synth, simple_synth
 from .wellformed import WfIssue, wf_term_env, wf_tvar_env
 
@@ -191,7 +191,7 @@ def cmd_run(file: str, inputs: tuple[str, ...], fuel: int, as_json: bool) -> Non
             _emit({"outcome": "error", "error": msg}, as_json, msg)
             sys.exit(EXIT_BAD_INPUT)
         bindings[name] = value
-    out = evaluate(subst_term(prog.body, bindings), fuel)
+    out = evaluate(prog.body, fuel, bind(bindings))
     if isinstance(out, Value):
         _emit(
             {"outcome": "value", "value": pretty_print(out.expr), "steps": out.steps},

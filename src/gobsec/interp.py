@@ -6,8 +6,8 @@ receiver reduces first, then the arguments left to right, then the call
 contracts. Object invocation substitutes the receiver for the self name
 and the argument values for the parameters.
 
-`evaluate` is an environment machine derived from `step` in the manner of
-Ager, Biernacki, Danvy and Midtgaard ("A functional correspondence
+`run_machine` is an environment machine derived from `step` in the manner
+of Ager, Biernacki, Danvy and Midtgaard ("A functional correspondence
 between evaluators and abstract machines", PPDP 2003), close to
 Felleisen and Friedman's CEK machine: an object value is a closure,
 invocation extends the closure's environment instead of copying the
@@ -16,6 +16,12 @@ on every step are frames on an explicit stack. It runs on a loop, so
 program depth is bounded by memory and fuel, not by Python's recursion
 limit. It contracts exactly what `step` contracts, and the tests hold it
 to iterating `step`.
+
+`run_machine` starts from an environment (`bind` builds one from named
+values) and returns a machine value as it is, so a caller that probes a
+result, as the PRNI harness does, calls its closures directly.
+`evaluate` is `run_machine` followed by reading a closure back to the
+term `step` would have built (`readback`).
 
 Primitive invocation applies the dispatch table below, which fixes the
 otherwise-abstract primitive semantics:
@@ -70,7 +76,7 @@ class StuckError(GobsecError):
 
 @dataclass(frozen=True)
 class Value:
-    expr: Expr
+    expr: Expr  # from `run_machine`, a machine value: a `PrimLit` or a closure
     steps: int = 0
 
 
@@ -322,21 +328,47 @@ def _readback_redex(r) -> Expr:
     return _readback(r, memo)
 
 
-def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> Outcome:
-    """Run `e` on the environment machine to a value, a stuck state or
-    `fuel` contractions.
+def readback(v) -> Expr:
+    """The term of the machine value `v` (see `_readback`)."""
+    return _readback(v, {})
 
-    The outcome class, the step count, the value and the stuck redex are
-    those of iterating `step` on `erase_surface(e)`. One step is a method
-    or primitive call, an `if` choosing its branch, or a `let` binding its
-    value (as its lowering does); ascriptions are transparent. Fuel is
-    checked before each step, so a program that would stick with no fuel
-    left is a `Timeout`. Closures are read back to terms only for
-    `Value.expr` and `Stuck.redex`."""
+
+def bind(values: dict):
+    """The environment that binds each name to its value, a machine value
+    or a closed value term; a closed object literal becomes the closure
+    `(literal, None)`."""
+    env = None
+    for name, v in values.items():
+        env = (name, (v, None) if type(v) is ObjectLit else v, env)
+    return env
+
+
+def evaluate(e: Expr, fuel: int = DEFAULT_FUEL, env=None) -> Outcome:
+    """`run_machine`, with a value read back to its term: the outcome of
+    iterating `step` on `erase_surface(e)` with `env`'s values substituted
+    for its free variables."""
+    out = run_machine(e, env, fuel)
+    if type(out) is Value and type(out.expr) is tuple:
+        return Value(readback(out.expr), out.steps)
+    return out
+
+
+def run_machine(e: Expr, env, fuel: int) -> Outcome:
+    """Run `e` in the environment `env` (see `bind`) on the environment
+    machine to a value, a stuck state or `fuel` contractions.
+
+    The outcome class, the step count and the stuck redex are those of
+    iterating `step` on `erase_surface(e)` with `env`'s values substituted
+    in, and `Value.expr` is the machine value whose read-back is the value
+    `step` reaches. One step is a method or primitive call, an `if`
+    choosing its branch, or a `let` binding its value (as its lowering
+    does); looking up a variable, building a closure and ascriptions cost
+    none. Fuel is checked before each step, so a program that would stick
+    with no fuel left is a `Timeout`. Closures are read back to terms only
+    for `Stuck.redex`."""
     steps = 0
     stack: list = []
     push, pop = stack.append, stack.pop
-    env = None
     c = e
     try:
         while True:
@@ -447,7 +479,7 @@ def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> Outcome:
                 v = theta(node.method, recv, tuple(vals))
                 steps += 1
             else:
-                return Value(_readback(v, {}), steps)
+                return Value(v, steps)
     except StuckError as ex:
         if steps >= fuel:
             return Timeout(steps)

@@ -8,9 +8,13 @@ policies, the harness
 1. samples type substitutions within the bounds of the type variable
    environment (the observer's power),
 2. generates pairs of input values related at each variable's policy,
-3. runs the program body on both sides, and
+3. runs the program body on both sides, with the inputs bound in the
+   machine's environment rather than substituted into the body, and
 4. probes the two results at the observation type, method by method,
-   recursively, with the step index bounding observation depth.
+   recursively, with the step index bounding observation depth. A result
+   is probed as the machine value it is: a closure is called in its own
+   environment, and only a counterexample's outputs are read back to
+   terms.
 
 Every policy is read once, the way a public observer can use it: at
 `T<U>` the observer calls exactly `U`'s methods, and a primitive
@@ -39,7 +43,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from .algebra import in_interval, msig, prim_sig, type_equiv
-from .interp import Stuck, Value, evaluate
+from .interp import Outcome, Stuck, Value, bind, readback, run_machine
+from .interp import evaluate  # noqa: F401  kept as `prni.evaluate`, which perfbench's tracer test patches
 from .parser import SourceProgram, pretty_print
 from .syntax import (
     TOP,
@@ -65,7 +70,6 @@ from .syntax import (
     fresh,
     is_top,
     public,
-    subst_term,
     subst_type_vars,
     subst_type_vars_expr,
 )
@@ -436,7 +440,8 @@ class ProbeContext:
 def check_related(
     k: int, v1: Expr, v2: Expr, s: Faceted, ctx: ProbeContext, _path: tuple = ()
 ) -> tuple[bool, list[Observation] | None]:
-    """Probe whether `v1` and `v2` are related at `s` for `k` steps.
+    """Probe whether `v1` and `v2`, machine values or closed value terms,
+    are related at `s` for `k` steps.
 
     Returns (False, observation path) on refutation; (True, None) when no
     probe distinguishes them within the step index and budget. Probes are
@@ -466,13 +471,23 @@ def check_related(
 
 def _outcomes(v1, v2, name, targs, args1, args2, ctx) -> tuple | None:
     ctx.budget -= 1
-    r1 = evaluate(Invoke(v1, name, targs, tuple(args1)), PROBE_FUEL)
-    r2 = evaluate(Invoke(v2, name, targs, tuple(args2)), PROBE_FUEL)
+    r1 = _probe(v1, name, targs, args1)
+    r2 = _probe(v2, name, targs, args2)
     if isinstance(r1, Value) and isinstance(r2, Value):
         return r1.expr, r2.expr
     # Termination-insensitive: a timeout (or stuck probe, possible only on
     # ill-typed inputs) never distinguishes.
     return None
+
+
+def _probe(recv, name: str, targs: tuple, args: list) -> Outcome:
+    """Run the call `r.name<targs>(a0, ...)` with the receiver and the
+    arguments bound in the environment, so a closure is called as it is.
+    Looking them up costs no step, so the call costs the one contraction
+    that invoking the read-back receiver would."""
+    params = tuple(f"a{i}" for i in range(len(args)))
+    call = Invoke(Var("r"), name, targs, tuple(Var(p) for p in params))
+    return run_machine(call, bind({"r": recv, **dict(zip(params, args))}), PROBE_FUEL)
 
 
 def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[bool, list | None]:
@@ -625,10 +640,8 @@ def prni_test(
             v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), pool)
             gamma1[x] = v1
             gamma2[x] = v2
-        e1 = subst_term(sbody, gamma1)
-        e2 = subst_term(sbody, gamma2)
-        r1 = evaluate(e1, config.fuel)
-        r2 = evaluate(e2, config.fuel)
+        r1 = run_machine(sbody, bind(gamma1), config.fuel)
+        r2 = run_machine(sbody, bind(gamma2), config.fuel)
         if isinstance(r1, Stuck) or isinstance(r2, Stuck):
             which = r1 if isinstance(r1, Stuck) else r2
             raise GobsecError(
@@ -645,7 +658,7 @@ def prni_test(
                 gamma1={x: pretty_print(v) for x, v in gamma1.items()},
                 gamma2={x: pretty_print(v) for x, v in gamma2.items()},
                 observation=path or [],
-                outputs=(pretty_print(r1.expr), pretty_print(r2.expr)),
+                outputs=(pretty_print(readback(r1.expr)), pretty_print(readback(r2.expr))),
                 trial=trial,
                 seed=config.seed,
                 sigma_types=dict(sigma),

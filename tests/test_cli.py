@@ -105,6 +105,20 @@ class TestRun:
         res = runner.invoke(main, ["run", f, "--input", f"t={value}"])
         assert res.exit_code == 0 and res.output.strip() == "7"
 
+    def test_printed_closure_shows_its_bound_input(self, runner, write):
+        # The input is bound in the machine's environment; the closure the
+        # body returns reads back with the input's value in its place.
+        src = (
+            "type Thunk = Obj(a)[ get : Unit! -> Int! ]\n"
+            "var n : Int!\n"
+            "new { z : Thunk! get(u) => n.+(1) }"
+        )
+        f = write("thunk.gobsec", src)
+        res = runner.invoke(main, ["run", f, "--input", "n=41", "--json"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["steps"] == 0 and "41.+(1)" in payload["value"]
+
 
 class TestPrniCommand:
     def test_no_counterexample_exit_0(self, runner, write):

@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from gobsec.cli import corpus_dir, main
+from gobsec.syntax import fresh
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +59,25 @@ def render(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden(name):
     assert render(name) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _fresh_count() -> int:
+    return int(fresh().split("%")[1])
+
+
+@pytest.mark.parametrize(
+    "path",
+    [corpus_dir() / "subject_fst.gobsec", PROGRAM_DIRS["prni_programs.txt"] / "list_tail_leak.gobsec"],
+    ids=lambda p: p.name,
+)
+def test_prni_output_does_not_depend_on_earlier_fresh_names(path):
+    # `syntax.fresh` is one counter for the whole process; printed names
+    # must not show how many names earlier work drew.
+    first = _run(_prni(str(path)))
+    before = _fresh_count()
+    _run(_prni(str(corpus_dir() / "list_concat_mixed.gobsec")))
+    assert _fresh_count() > before + 1000
+    assert _run(_prni(str(path))) == first
 
 
 if __name__ == "__main__":

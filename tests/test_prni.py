@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import gobsec.interp
+import gobsec.prni
 from gobsec.cli import corpus_dir
 from gobsec.interp import Timeout, evaluate
 from gobsec.parser import parse_expr, parse_program, parse_sectype, pretty_print
@@ -324,3 +326,49 @@ class TestPrniTest:
         p = parse_program("var x : String!\nx.frobnicate()")
         with pytest.raises(TypeError_):
             prni_test(p, parse_sectype("String!"), self.cfg(pairs=10))
+
+
+class TestProbePath:
+    """Trials and probes run on machine values; a closure is read back to a
+    term only to print a counterexample's outputs."""
+
+    @staticmethod
+    def events(monkeypatch):
+        """The log of `_readback` calls and `check_related` returns."""
+        log = []
+        readback, check_related = gobsec.interp._readback, gobsec.prni.check_related
+
+        def counted_readback(v, memo):
+            log.append(("readback", v))
+            return readback(v, memo)
+
+        def logged_check_related(*args, **kwargs):
+            out = check_related(*args, **kwargs)
+            log.append(("checked", None))
+            return out
+
+        monkeypatch.setattr(gobsec.interp, "_readback", counted_readback)
+        monkeypatch.setattr(gobsec.prni, "check_related", logged_check_related)
+        return log
+
+    @staticmethod
+    def run(name, seed):
+        from gobsec.typecheck import sec_synth
+
+        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
+        observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
+        return prni_test(p, observe, PrniConfig(pairs=25, seed=seed))
+
+    def test_a_secure_list_program_reads_nothing_back(self, monkeypatch):
+        log = self.events(monkeypatch)
+        assert isinstance(self.run("list_concat_mixed.gobsec", 0), NoCounterexample)
+        assert log and all(kind == "checked" for kind, _ in log)
+
+    def test_only_the_counterexample_outputs_are_read_back(self, monkeypatch):
+        log = self.events(monkeypatch)
+        v = self.run("subject_fst.gobsec", 1)
+        assert isinstance(v, Counterexample)
+        last_check = max(i for i, (kind, _) in enumerate(log) if kind == "checked")
+        assert all(kind == "checked" for kind, _ in log[:last_check])
+        read = [value for _, value in log[last_check + 1 :]]
+        assert [pretty_print(value) for value in read] == list(v.outputs)
