@@ -24,6 +24,7 @@ from .syntax import (
     TypeVar,
     TypeVarEnv,
     canon,
+    instantiate_tparams,
     is_top,
     subst_self_var,
     subst_type_vars,
@@ -163,11 +164,13 @@ def rename_tparams(sig: GenericSig, prefix: str) -> GenericSig:
     """Rename type parameter i of `sig` to `prefix` + str(i), in the later
     parameters' bounds, the arguments and the return; two signatures
     renamed with one prefix share parameter names."""
-    sub: dict[str, DeclType] = {}
     tparams: list[TParam] = []
-    for i, tp in enumerate(sig.tparams):
-        tparams.append(TParam(f"{prefix}{i}", subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)))
-        sub[tp.name] = TypeVar(f"{prefix}{i}")
+
+    def rename(_, lo: DeclType, hi: DeclType) -> TypeVar:
+        tparams.append(TParam(f"{prefix}{len(tparams)}", lo, hi))
+        return TypeVar(tparams[-1].name)
+
+    sub = instantiate_tparams(sig.tparams, rename)
     return GenericSig(
         tuple(tparams),
         tuple(subst_type_vars(a, sub) for a in sig.args),

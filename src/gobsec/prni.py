@@ -19,12 +19,14 @@ policies, the harness
 Every policy is read once, the way a public observer can use it: at
 `T<U>` the observer calls exactly `U`'s methods, and a primitive
 signature `P1<*> * ... -> R<*>` is the standard signature
-`P1! * ... -> R!` (`_observable`), so there is one probe path. Object
-inputs are built from the same relation: a method in `U` answers with
-related results, a method only in `T` with independent ones, and at step
-index 0 every method diverges. A list is no exception: its input is a
-chain of `k` levels whose last one diverges, and related lists may
-differ in shape wherever the policy hides it.
+`P1! * ... -> R!` (`_observable`), so there is one probe path. Inputs
+are built from the same relation: two primitive literals share a class
+of what the policy cannot tell apart in a finite universe
+(`_partition`); in two objects, a method in `U` answers with related
+results, a method only in `T` with independent ones, and at step index
+0 every method diverges. A list is no exception: its input is a chain of
+`k` levels whose last one diverges, and related lists may differ in
+shape wherever the policy hides it.
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -37,13 +39,14 @@ Timeouts never distinguish: the property is termination-insensitive.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 import zlib
 from dataclasses import dataclass, field
 
-from .algebra import in_interval, msig, prim_sig, type_equiv
-from .interp import Outcome, Stuck, Value, bind, readback, run_machine
+from .algebra import in_interval, msig, type_equiv
+from .interp import Outcome, Stuck, StuckError, Value, bind, readback, run_machine, theta
 from .interp import evaluate  # noqa: F401  kept as `prni.evaluate`, which perfbench's tracer test patches
 from .parser import SourceProgram, pretty_print
 from .syntax import (
@@ -62,12 +65,14 @@ from .syntax import (
     Prim,
     PrimLit,
     PrimSig,
+    TParam,
     TypeVar,
     TypeVarEnv,
     Var,
     canon,
     canon_expr,
     fresh,
+    instantiate_tparams,
     is_top,
     public,
     subst_type_vars,
@@ -114,7 +119,6 @@ PROBE_FUEL = 600  # steps per probe evaluation; divergence still relates
 PROBE_BUDGET = 160  # probe evaluations per relatedness check
 TSAMPLES = 2  # type instantiations probed per polymorphic method
 ASAMPLES = 3  # argument tuples probed per instantiation
-CERTIFY_K = 3  # depth at which a generated primitive pair is certified
 
 
 @dataclass
@@ -227,29 +231,19 @@ def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) 
     return cands
 
 
-def _choose(bounds: list[tuple[str, DeclType, DeclType]], pool: dict[str, DeclType], pick) -> dict[str, DeclType]:
-    """One type per `(name, lower, upper)` in order: `pick(name, candidates,
-    upper)` chooses among the interval candidates of the bounds with the
-    earlier choices substituted in."""
-    sub: dict[str, DeclType] = {}
-    for name, lo, hi in bounds:
-        lo, hi = subst_type_vars(lo, sub), subst_type_vars(hi, sub)
-        sub[name] = pick(name, _interval_candidates(lo, hi, pool), hi)
-    return sub
-
-
 def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Random) -> dict[str, DeclType]:
     """One substitution in the relational interpretation of `delta`: for
     each variable, a closed type within its bounds, drawn uniformly from
     the bound endpoints and the pool types that fit the interval. Earlier
     choices substitute into later bounds."""
 
-    def pick(name: str, cands: list[DeclType], hi: DeclType) -> DeclType:
+    def pick(name: str, lo: DeclType, hi: DeclType) -> DeclType:
+        cands = _interval_candidates(lo, hi, pool)
         if not cands:
             raise EmptyInterval(f"no candidate type lies within the bounds of {name}")
         return rng.choice(cands)
 
-    return _choose([(name, lo, hi) for name, (lo, hi) in delta.items()], pool, pick)
+    return instantiate_tparams([TParam(name, lo, hi) for name, (lo, hi) in delta.items()], pick)
 
 
 # ---------------------------------------------------------------------------
@@ -266,39 +260,62 @@ def _observable(sig: MethodSig) -> GenericSig:
     return sig
 
 
-@functools.lru_cache(maxsize=1024)
-def _policy_key(u: ObjType) -> tuple:
-    """Canonical key of the policy `u` with every method read through
-    `_observable`, so both spellings of a policy share one key."""
-    return canon(ObjType(u.self_var, tuple((m, _observable(sig)) for m, sig in u.methods)))
-
-
-def _string_policy_key(*names: str) -> tuple:
-    """The key of the policy that exposes exactly `names` of String."""
-    return _policy_key(ObjType("a", tuple((m, prim_sig("String", m)) for m in names)))
-
-
-_LEN_KEY = _string_policy_key("length")
-_FST_KEY = _string_policy_key("first")
-_FSTLEN_KEY = _string_policy_key("first", "length")
-
 _ALPHABET = "abc"
 
-
-def _rand_string(rng: random.Random, n: int | None = None) -> str:
-    if n is None:
-        n = rng.randint(0, 4)
-    return "".join(rng.choice(_ALPHABET) for _ in range(n))
+#: The literals a primitive input is drawn from: `_rand_lit` draws within
+#: it, and `_partition` splits it into a policy's classes.
+_UNIVERSE: dict[str, tuple] = {
+    "Int": tuple(range(10)),
+    "String": tuple("".join(cs) for n in range(5) for cs in itertools.product(_ALPHABET, repeat=n)),
+    "Bool": (False, True),
+    "Unit": (None,),
+}
 
 
 def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
     if kind == "Int":
         return PrimLit(rng.randint(0, 9), "Int")
     if kind == "String":
-        return PrimLit(_rand_string(rng), "String")
+        return PrimLit("".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 4))), "String")
     if kind == "Bool":
         return PrimLit(rng.random() < 0.5, "Bool")
     return UNIT
+
+
+@functools.lru_cache(maxsize=1024)
+def _partition(kind: str, u: ObjType, values: tuple, seen: frozenset = frozenset()) -> dict:
+    """Each of `values`, literals of `kind`, mapped to its class at
+    `kind<u>`: the tuple of values on which every method of `u`, read
+    through `_observable`, gives related results at all public arguments
+    from the universe and, at the receiver's kind, `values` (`_public_arg`
+    probes with the receivers). A public result is compared by value, one
+    at a policy not in `seen` by its class among the results (so at `Top`
+    not at all). A method this cannot read (type parameters, a non-public
+    argument, a stuck call) leaves every value in a class of its own."""
+    cls = dict.fromkeys(values, 0)
+    for name, _ in u.methods:
+        sig = _observable(msig({}, u, name))
+        kinds = [a.safety.kind for a in sig.args if isinstance(a.safety, Prim) and type_equiv(a.safety, a.decl)]
+        if sig.tparams or len(kinds) < len(sig.args):
+            return {v: (v,) for v in values}
+        for args in itertools.product(*(dict.fromkeys(_UNIVERSE[k] + (values if k == kind else ())) for k in kinds)):
+            lits = tuple(map(PrimLit, args, kinds))
+            try:
+                results = [theta(name, PrimLit(v, kind), lits) for v in values]
+            except StuckError:
+                return {v: (v,) for v in values}
+            observed = [r.value for r in results]
+            if isinstance(sig.ret.decl, ObjType) and sig.ret.decl not in seen | {u}:
+                classes = _partition(results[0].kind, sig.ret.decl, tuple(dict.fromkeys(observed)), seen | {u})
+                observed = [classes[r] for r in observed]
+            ids: dict = {}
+            cls = {v: ids.setdefault((cls[v], r), len(ids)) for v, r in zip(values, observed)}
+            if len(ids) == len(values):
+                return {v: (v,) for v in values}  # classes only split further
+    members: dict = {}
+    for v in values:
+        members.setdefault(cls[v], []).append(v)
+    return {v: tuple(members[cls[v]]) for v in values}
 
 
 # ---------------------------------------------------------------------------
@@ -306,81 +323,40 @@ def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
 # ---------------------------------------------------------------------------
 
 
-def gen_related_pair(
-    s: Faceted, k: int, rng: random.Random, pool: dict[str, DeclType] | None = None
-) -> tuple[Expr, Expr]:
+def gen_related_pair(s: Faceted, k: int, rng: random.Random) -> tuple[Expr, Expr]:
     """A pair of closed values related at the closed security type `s` for
     `k` observation steps.
 
-    Primitives get shaped generators (equal literals for fully public
-    ones, independent ones at the empty interface, equal-length strings
-    for length policies, and so on); proposals that only a relatedness
-    check can certify are verified at depth `CERTIFY_K`, with `pool` as
-    the candidate types, and replaced by a reflexive pair when the check
-    refutes them. Every object, a list included, is built from the
-    relation at `T<U>` (`_gen_obj_pair`): a chain of `k` levels below
-    which every method diverges.
+    A primitive pair is a literal and a second one drawn uniformly from
+    its class in the policy's partition of the literal universe
+    (`_partition`): equal literals when public, independent ones at
+    `Top`. Every object, a list included, is built from the relation at
+    `T<U>` (`_gen_obj_pair`): a chain of `k` levels below which every
+    method diverges.
     """
     t, u = s.safety, s.decl
     if isinstance(u, TypeVar):
         raise NoGenerator(f"declassification facet {u.name} is not closed")
     if isinstance(t, Prim):
-        return _gen_prim_pair(t.kind, u, rng, pool)
+        return _gen_prim_pair(t.kind, u, rng)
     if isinstance(t, ObjType):
-        return _gen_obj_pair(t, u, k, rng, pool)
+        return _gen_obj_pair(t, u, k, rng)
     raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
 
 
-def _gen_prim_pair(kind: str, u: DeclType, rng: random.Random, pool) -> tuple[Expr, Expr]:
-    if isinstance(u, Prim):
-        v = _rand_lit(kind, rng)
-        return v, v  # public: syntactically equal
-    if is_top(u):
-        return _rand_lit(kind, rng), _rand_lit(kind, rng)
-    key = _policy_key(u)
-    if kind == "String" and key == _LEN_KEY:
-        n = rng.randint(0, 4)
-        return PrimLit(_rand_string(rng, n), "String"), PrimLit(_rand_string(rng, n), "String")
-    if kind == "String" and key == _FSTLEN_KEY:
-        n = rng.randint(1, 4)
-        c = rng.choice(_ALPHABET)
-        return (
-            PrimLit(c + _rand_string(rng, n - 1), "String"),
-            PrimLit(c + _rand_string(rng, n - 1), "String"),
-        )
-    if kind == "String" and key == _FST_KEY:
-        c = rng.choice(_ALPHABET)
-        return (
-            PrimLit(c + _rand_string(rng), "String"),
-            PrimLit(c + _rand_string(rng), "String"),
-        )
-    # Any other policy (equality and hash-equality ones included): equal
-    # values on a coin flip; otherwise an independent second value that is
-    # kept only when a probe check certifies it.
+def _gen_prim_pair(kind: str, u: DeclType, rng: random.Random) -> tuple[Expr, Expr]:
     v1 = _rand_lit(kind, rng)
-    if rng.random() < 0.5:
-        return v1, v1
-    v2 = _rand_lit(kind, rng)
-    return _verified_or_reflexive(v1, v2, Faceted(Prim(kind), u), rng, pool)
-
-
-def _verified_or_reflexive(v1, v2, s: Faceted, rng: random.Random, pool) -> tuple[Expr, Expr]:
-    if v1 == v2:
-        return v1, v1
-    probe_ctx = ProbeContext(pool=pool or {}, seed=rng.getrandbits(63), budget=40)
-    ok, _ = check_related(CERTIFY_K, v1, v2, s, probe_ctx)
-    if ok:
-        return v1, v2
-    return v1, v1
+    if isinstance(u, Prim):
+        return v1, v1  # public: syntactically equal
+    if is_top(u):
+        return v1, _rand_lit(kind, rng)
+    return v1, PrimLit(rng.choice(_partition(kind, u, _UNIVERSE[kind])[v1.value]), kind)
 
 
 def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
     """`sig`'s return type with each type parameter at its lower bound,
     earlier choices substituted into later bounds."""
-    sub: dict[str, DeclType] = {}
-    for tp in sig.tparams:
-        sub[tp.name] = subst_type_vars(tp.lower, sub)
-    return subst_type_vars(sig.ret, sub)
+    return subst_type_vars(sig.ret, instantiate_tparams(sig.tparams, lambda _, lo, hi: lo))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -401,7 +377,7 @@ def _method_table(t: ObjType, u: DeclType) -> tuple[tuple[str, GenericSig, Facet
     return tuple(rows)
 
 
-def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, pool) -> tuple[Expr, Expr]:
+def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random) -> tuple[Expr, Expr]:
     """Two objects related at `T<U>` for `k` steps, built from the relation.
 
     A method in `U` returns a pair related at `U`'s return declassification
@@ -419,7 +395,7 @@ def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random, pool) -> 
         if k <= 0:
             b1 = b2 = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
         else:
-            b1, b2 = gen_related_pair(ret, k - 1, rng, pool)
+            b1, b2 = gen_related_pair(ret, k - 1, rng)
         methods1.append(MethodDef(name, params, b1))
         methods2.append(MethodDef(name, params, b2))
     return ObjectLit(z, public(t), tuple(methods1)), ObjectLit(z, public(t), tuple(methods2))
@@ -507,7 +483,7 @@ def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[
                 else:
                     if arng is None:
                         arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
-                    a1, a2 = gen_related_pair(at, k - 1, arng, ctx.pool)
+                    a1, a2 = gen_related_pair(at, k - 1, arng)
                 args1.append(a1)
                 args2.append(a2)
             probe_key = (
@@ -559,10 +535,14 @@ def _sample_instantiations(sig: GenericSig, ctx: ProbeContext) -> list[dict[str,
     """Up to TSAMPLES instantiations of `sig`'s type parameters: the i-th
     takes each parameter's i-th interval candidate (or its last), falling
     back to the upper bound when no candidate fits."""
-    bounds = [(tp.name, tp.lower, tp.upper) for tp in sig.tparams]
     out: list[dict[str, DeclType]] = []
     for i in range(TSAMPLES):
-        inst = _choose(bounds, ctx.pool, lambda _, cands, hi: cands[min(i, len(cands) - 1)] if cands else hi)
+
+        def pick(_, lo: DeclType, hi: DeclType) -> DeclType:
+            cands = _interval_candidates(lo, hi, ctx.pool)
+            return cands[min(i, len(cands) - 1)] if cands else hi
+
+        inst = instantiate_tparams(sig.tparams, pick)
         if inst not in out:
             out.append(inst)
     return out
@@ -637,7 +617,7 @@ def prni_test(
         gamma1: dict[str, Expr] = {}
         gamma2: dict[str, Expr] = {}
         for xi, (x, sx) in enumerate(zip(gamma, sxs)):
-            v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi), pool)
+            v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi))
             gamma1[x] = v1
             gamma2[x] = v2
         r1 = run_machine(sbody, bind(gamma1), config.fuel)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
 class GobsecError(Exception):
@@ -394,6 +394,18 @@ def subst_type_vars(target, sub: Mapping[str, DeclType]):
     if not sub:
         return target
     return _subst(target, {}, sub, _fv_union(sub.values()))
+
+
+def instantiate_tparams(
+    tparams: Iterable[TParam], choose: Callable[[str, DeclType, DeclType], DeclType]
+) -> dict[str, DeclType]:
+    """A type for each bounded parameter, left to right:
+    `choose(name, lower, upper)` gets the parameter's bounds with the
+    earlier choices substituted in. Returns the substitution."""
+    sub: dict[str, DeclType] = {}
+    for tp in tparams:
+        sub[tp.name] = choose(tp.name, subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub))
+    return sub
 
 
 def _subst(x, selfs: Mapping[str, Type], gens: Mapping[str, DeclType], avoid):

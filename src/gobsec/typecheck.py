@@ -51,6 +51,7 @@ from .syntax import (
     TypeVar,
     TypeVarEnv,
     Var,
+    instantiate_tparams,
     subst_type_vars,
 )
 from .wellformed import WfIssue, wf_sectype
@@ -293,16 +294,19 @@ def _instantiate(
     """Check each type argument against its bounds, with the earlier
     arguments substituted in, then substitute all of them through the
     argument and return types at once."""
-    sub: dict[str, DeclType] = {}
-    for tp, actual in zip(sig.tparams, targs):
-        lo, hi = subst_type_vars(tp.lower, sub), subst_type_vars(tp.upper, sub)
+    actuals = iter(targs)
+
+    def check(name: str, lo: DeclType, hi: DeclType) -> DeclType:
+        actual = next(actuals)
         if not in_interval(ctx.delta, actual, lo, hi):
             raise _err(
                 f"{rule}/BoundViolation",
-                f"type argument {_show(actual)} for {tp.name} is not within {_show(lo)} .. {_show(hi)}",
+                f"type argument {_show(actual)} for {name} is not within {_show(lo)} .. {_show(hi)}",
                 e.span,
             )
-        sub[tp.name] = actual
+        return actual
+
+    sub = instantiate_tparams(sig.tparams, check)
     return [subst_type_vars(a, sub) for a in sig.args], subst_type_vars(sig.ret, sub)
 
 

@@ -2,6 +2,7 @@
 related-pair generation, relatedness probing, and end-to-end verdicts."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,13 @@ var x : String<X>
 """
 
 PROGRAMS = Path(__file__).parent / "programs"
+
+# Every program expected to leak, in the corpus and in `tests/programs/`.
+INSECURE = [
+    path
+    for path in sorted([*corpus_dir().glob("*.gobsec"), *PROGRAMS.glob("*.gobsec")])
+    if "expect insecure" in path.read_text(encoding="utf-8")
+]
 
 # An object input: `get` is exposed by the policy `G`, `peek` is not.
 OBJ_CTX = """
@@ -112,7 +120,7 @@ class TestGenRelatedPair:
         differing = 0
         for seed in range(50):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_FST), 6, _rng(seed))
-            assert v1.value[:1] == v2.value[:1] != ""
+            assert v1.value[:1] == v2.value[:1]
             differing += v1.value != v2.value
         assert differing > 0
 
@@ -122,22 +130,22 @@ class TestGenRelatedPair:
             assert len(v1.value) == len(v2.value)
             assert v1.value[:1] == v2.value[:1]
 
-    def test_equality_policy_pairs_certified(self):
-        # Unequal proposals cannot survive probing at an equality policy.
+    def test_equality_policy_pairs_are_equal(self):
+        # Every string is a class of its own at an equality policy.
         for seed in range(40):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), 6, _rng(seed))
             assert v1 == v2
 
     @pytest.mark.parametrize("k", [0, 1])
-    def test_primitive_pairs_are_certified_at_a_fixed_depth(self, k):
-        # At k <= 1 the relation relates every pair, so a check at depth k
-        # would certify unequal strings at an equality policy. A list's
-        # deep elements are generated at such depths.
+    def test_equality_policy_pairs_are_equal_at_every_k(self, k):
+        # At k <= 1 the relation relates every pair, but a primitive pair
+        # does not depend on k: a list's deep elements, generated at such
+        # depths, are still equal at an equality policy.
         for seed in range(200):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), k, _rng(seed))
             assert v1 == v2
 
-    def test_hash_policy_pairs_certified(self):
+    def test_hash_policy_pairs_are_equal(self):
         for seed in range(40):
             v1, v2 = gen_related_pair(Faceted(STRING, STRING_HASH_EQ), 6, _rng(seed))
             assert v1 == v2
@@ -158,6 +166,57 @@ class TestGenRelatedPair:
         for v in gen_related_pair(s, 0, _rng()):
             for m in ("get", "peek"):
                 assert isinstance(evaluate(Invoke(v, m, (), (UNIT,)), 100), Timeout)
+
+
+# Every primitive policy declared in the corpus and `tests/programs/`: its
+# kind and the number of classes it splits the literal universe into.
+PARTITIONS = {
+    "StringLen": ("String", 5),
+    "StrFstLen": ("String", 13),
+    "StringFst": ("String", 4),
+    "StringEq": ("String", 121),
+    "StringEqPoly": ("String", 121),
+    "StringHashEq": ("String", 121),
+    "IntEq": ("Int", 10),
+}
+
+
+class TestPartition:
+    """A policy's classes are exactly what the probes can tell apart: no
+    pair within a class is refuted, so generation yields no false
+    counterexample, and pairs across classes are."""
+
+    @staticmethod
+    def related(kind, u, a, b):
+        ctx = ProbeContext(seed=1, budget=10_000)
+        return check_related(6, PrimLit(a, kind), PrimLit(b, kind), Faceted(Prim(kind), u), ctx)[0]
+
+    def test_every_policy_of_a_typed_program_is_pinned(self):
+        # The named declassification facets of primitives in every program
+        # that is not expected to be ill-typed.
+        named = set()
+        for path in [*corpus_dir().glob("*.gobsec"), *PROGRAMS.glob("*.gobsec")]:
+            text = path.read_text(encoding="utf-8")
+            if "expect illtyped" not in text:
+                aliases = parse_program(text).aliases
+                named |= {n for n in re.findall(r"\b(?:Int|String|Bool|Unit)<(\w+)>", text) if n in aliases}
+        assert named == set(PARTITIONS)
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_classes(self, name, policies):
+        kind, size = PARTITIONS[name]
+        u = policies[name]
+        classes = sorted(set(gobsec.prni._partition(kind, u, gobsec.prni._UNIVERSE[kind]).values()))
+        assert len(classes) == size
+        for cls in classes:
+            for a in cls:
+                for b in cls:
+                    assert a == b or self.related(kind, u, a, b), (a, b)
+        rng = _rng(len(classes))
+        for _ in range(50):
+            c1, c2 = rng.sample(classes, 2)
+            a, b = rng.choice(c1), rng.choice(c2)
+            assert not self.related(kind, u, a, b), (a, b)
 
 
 class TestCheckRelated:
@@ -313,12 +372,20 @@ class TestPrniTest:
         assert isinstance(v, NoCounterexample)
 
     def test_deep_list_elements_stay_related(self):
-        # At this seed an element four levels down is a pair of unequal
-        # strings at `StringEq` unless elements are certified at a fixed
-        # depth; membership testing then tells the two lists apart.
+        # At this seed an element four levels down is a pair of strings at
+        # `StringEq`, generated at step index 1 or less; unless such a pair
+        # is equal whatever its depth, membership testing tells the two
+        # lists apart.
         p = parse_program((corpus_dir() / "list_contains.gobsec").read_text(encoding="utf-8"))
         v = prni_test(p, p.expect.at, PrniConfig(pairs=25, seed=581))
         assert isinstance(v, NoCounterexample)
+
+    @pytest.mark.parametrize("path", INSECURE, ids=lambda p: p.name)
+    def test_insecure_programs_are_refuted_at_every_seed(self, path):
+        p = parse_program(path.read_text(encoding="utf-8"))
+        for seed in range(30):
+            v = prni_test(p, p.expect.at, PrniConfig(pairs=1000, seed=seed))
+            assert isinstance(v, Counterexample), seed
 
     def test_requires_simple_typing(self):
         from gobsec.typecheck import TypeError_
