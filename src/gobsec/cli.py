@@ -33,7 +33,7 @@ from .parser import (
     pretty_print,
 )
 from .prni import Counterexample, NoCounterexample, PrniConfig, prni_test, verdict_to_json
-from .syntax import GobsecError, is_value
+from .syntax import GobsecError, ObjType, is_value
 from .typecheck import TypeError_, sec_check, sec_synth, simple_synth
 from .wellformed import WfIssue, wf_term_env, wf_tvar_env
 
@@ -234,8 +234,7 @@ def _resolve_seed(seed: int | None) -> int | None:
     default=6,
     show_default=True,
     type=POSITIVE,
-    help="Observation depth. Method results are compared at k - 1, so at 1 "
-    "an object observation type relates every pair; use 2 or more to probe methods.",
+    help="Observation depth; at least 2 for an object observation type.",
 )
 @click.option("--fuel", default=10_000, show_default=True, type=POSITIVE)
 @click.option("--seed", default=None, type=int, help="Required (or set GOBSEC_SEED).")
@@ -250,6 +249,10 @@ def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fu
         prog = _load(file)
     except ParseError as ex:
         click.echo(f"parse error: {ex}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
+    issues = [i for i in _wf_envs(prog) if i.severity == "error"]
+    if issues:
+        click.echo(f"ill-formed environment: {issues[0].message}", err=True)
         sys.exit(EXIT_BAD_INPUT)
     try:
         simple_synth(prog.vars, prog.body)
@@ -270,6 +273,9 @@ def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fu
         except TypeError_:
             click.echo("body has no synthesizable security type; pass --observe", err=True)
             sys.exit(EXIT_BAD_INPUT)
+    if k < 2 and isinstance(observe_at.decl, ObjType):
+        click.echo("--k 1 relates every pair at an object observation type; use --k 2 or more", err=True)
+        sys.exit(EXIT_BAD_INPUT)
     config = PrniConfig(pairs=pairs, substs=substs, k=k, fuel=fuel, seed=seed)
     try:
         verdict = prni_test(prog, observe_at, config)

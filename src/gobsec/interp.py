@@ -14,8 +14,9 @@ invocation extends the closure's environment instead of copying the
 method body, and the evaluation contexts `step` re-finds from the root
 on every step are frames on an explicit stack. It runs on a loop, so
 program depth is bounded by memory and fuel, not by Python's recursion
-limit. It contracts exactly what `step` contracts, and the tests hold it
-to iterating `step`.
+limit. It contracts exactly what `step` contracts, except that a call
+that contracts to itself at once times out at once (see `run_machine`),
+and the tests hold it to iterating `step`.
 
 `run_machine` starts from an environment (`bind` builds one from named
 values) and returns a machine value as it is, so a caller that probes a
@@ -301,6 +302,21 @@ def _lookup(env, name: str):
     return None
 
 
+def _repeats(call: Invoke, env, recv, vals) -> bool:
+    """Whether `call`, the body of a method whose `recalls` flag is set,
+    makes in `env` the very call just contracted: on the closure `recv`
+    itself and, argument by argument, on the same closure as in `vals` or a
+    literal of equal kind, Python type and value."""
+    if _lookup(env, call.recv.name) is not recv:
+        return False
+    for a, v in zip(call.args, vals):
+        if type(a) is Var:
+            a = _lookup(env, a.name)
+        if a is not v and not (type(a) is PrimLit and a == v and type(a.value) is type(v.value)):
+            return False
+    return True
+
+
 def _readback(v, memo: dict) -> Expr:
     """The term the substitution semantics builds for a machine value: the
     closure's literal, erased, with its free variables replaced by the
@@ -365,7 +381,18 @@ def run_machine(e: Expr, env, fuel: int) -> Outcome:
     does); looking up a variable, building a closure and ascriptions cost
     none. Fuel is checked before each step, so a program that would stick
     with no fuel left is a `Timeout`. Closures are read back to terms only
-    for `Stuck.redex`."""
+    for `Stuck.redex`.
+
+    A call that contracts to itself at once is timed out at once. When the
+    body of the method just called makes the same call again, on a
+    receiver variable bound to the very same closure and on arguments that
+    are the same closures or equal literals, as `loop(x) => z.loop(x)`
+    does, the next contraction meets the same machine state over the same
+    stack, one step later. Iterating `step` then repeats that call until
+    the fuel runs out, so the outcome is `Timeout(fuel)`, and it is
+    returned without running the loop. A loop whose state recurs only
+    after two or more steps, as through two methods that call each other,
+    still runs until its fuel is spent."""
     steps = 0
     stack: list = []
     push, pop = stack.append, stack.pop
@@ -472,6 +499,8 @@ def run_machine(e: Expr, env, fuel: int) -> Outcome:
                             env = (p, a, env)
                     c = impl.body
                     steps += 1
+                    if impl.recalls and _repeats(c, env, recv, vals):
+                        return Timeout(fuel)
                     break
                 for a in vals:
                     if type(a) is not PrimLit:

@@ -202,10 +202,27 @@ class MethodDef:
     name: str
     params: tuple[str, ...]
     body: "Expr"
+    # Whether the body calls a method of this name on a variable, with one
+    # variable or literal argument per parameter, as `loop(x) => z.loop(x)`
+    # does. The environment machine reads it on every call it contracts
+    # (see `interp.run_machine`), so it is decided here, once. It is a field
+    # rather than an instance-dictionary cache: filling a node's dictionary
+    # slows every other attribute read on it.
+    recalls: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.params) != len(set(self.params)):
             raise GobsecError(f"duplicate parameter in method {self.name}")
+        b = self.body
+        object.__setattr__(
+            self,
+            "recalls",
+            type(b) is Invoke
+            and b.method == self.name
+            and type(b.recv) is Var
+            and len(b.args) == len(self.params)
+            and all(type(a) is Var or type(a) is PrimLit for a in b.args),
+        )
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,33 @@ class TestPrniCommand:
         assert payload["verdict"] == "counterexample"
         assert set(payload["witness"]) == {"sigma", "gamma1", "gamma2", "observation", "outputs"}
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("wf_eq_bad.gobsec", "variable p: method eq: a standard signature over a primitive"),
+            ("wf_bool_int.gobsec", "variable x: declassification facet Int does not match safety facet Bool"),
+        ],
+    )
+    def test_ill_formed_environment_exit_2(self, runner, name, message):
+        res = runner.invoke(main, ["prni", str(corpus_dir() / name), "--seed", "1", "--pairs", "25", "--json"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"ill-formed environment: {message}")
+
+    def test_k_1_at_an_object_observation_exit_2(self, runner):
+        # Method results are compared at k - 1 = 0, which relates everything.
+        subject_fst = str(corpus_dir() / "subject_fst.gobsec")
+        res = runner.invoke(main, ["prni", subject_fst, "--seed", "1", "--k", "1", "--pairs", "200"])
+        assert res.exit_code == 2
+        assert "--k 2 or more" in res.stderr
+        res = runner.invoke(main, ["prni", subject_fst, "--seed", "1", "--k", "2", "--pairs", "200"])
+        assert res.exit_code == 5
+
+    def test_k_1_at_a_primitive_observation_runs(self, runner, write):
+        f = write("leak.gobsec", "var h : String?\nh")
+        res = runner.invoke(main, ["prni", f, "--observe", "String!", "--seed", "1", "--k", "1"])
+        assert res.exit_code == 5
+
     def test_closed_program_reports_the_one_trial_it_ran(self, runner):
         omega = str(corpus_dir() / "omega.gobsec")
         res = runner.invoke(main, ["prni", omega, "--seed", "1", "--json"])

@@ -2,6 +2,7 @@
 primitive dispatch table, and the safety fuzz generator."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,47 @@ class TestMachineAgainstStep:
         out = evaluate(e)
         assert out == reference(e, 1_000)
         assert out.expr == PrimLit(value, "Int")
+
+    SELF_T = "Obj(a)[ m : a! -> Int! ]!"
+    PAIR_T = "Obj(a)[ m : a! * a! -> Int! ]!"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "new { z : Obj(a)[ loop : Int! -> Int! ]! loop(x) => z.loop(x) }.loop(3)",
+            "new { z : Obj(a)[ head : Unit! -> Int! ]! head() => z.head() }.head()",
+            # The literal argument repeats the call at once, or from the
+            # second turn.
+            f"new {{ z : {OBJ_T} m(x) => z.m(1) }}.m(1)",
+            f"new {{ z : {OBJ_T} m(x) => z.m(1) }}.m(0)",
+            # A parameter named like the self name is the receiver: the
+            # object itself, then another object.
+            f"let o = new {{ z : {SELF_T} m(z) => z.m(z) }} in o.m(o)",
+            f"new {{ z : {SELF_T} m(z) => z.m(z) }}.m(new {{ y : {SELF_T} m(x) => 5 }})",
+            # The same receiver with the arguments swapped: the next call is
+            # on the other object.
+            f"let o = new {{ z : {PAIR_T} m(z, w) => z.m(w, z) }} in o.m(o, new {{ y : {PAIR_T} m(a, b) => 5 }})",
+            # A cycle through two methods.
+            "new { z : Obj(a)[ m : Int! -> Int!, n : Int! -> Int! ]! m(x) => z.n(x) n(x) => z.m(x) }.m(1)",
+            # The same method on another closure of the same literal.
+            f"let b = new {{ t : {OBJ_T} m(x) => x.+(1) }} in "
+            f"let f = new {{ s : Obj(c)[ mk : {OBJ_T} -> {OBJ_T} ]! mk(y) => new {{ z : {OBJ_T} m(x) => y.m(x) }} }} in "
+            "f.mk(f.mk(b)).m(1)",
+            # Not a tail call: the stack grows.
+            f"new {{ z : {OBJ_T} m(x) => z.m(x).+(1) }}.m(1)",
+        ],
+    )
+    def test_calls_that_repeat_themselves(self, src):
+        e = parse_expr(src)
+        for fuel in (0, 1, 2, 7, 600):
+            assert evaluate(e, fuel) == reference(e, fuel), fuel
+
+    def test_a_call_that_contracts_to_itself_times_out_at_once(self):
+        # Looping through all this fuel takes about 10 s.
+        omega = parse_program((corpus_dir() / "omega.gobsec").read_text(encoding="utf-8")).body
+        start = time.perf_counter()
+        assert evaluate(omega, 10**7) == Timeout(10**7)
+        assert time.perf_counter() - start < 1
 
     def test_let_in_a_returned_object_reads_back_lowered(self):
         # The reference lowers `let` to an object with a fresh self name,

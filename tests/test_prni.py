@@ -353,11 +353,12 @@ class TestPrniTest:
 
     def test_different_seeds_explore_differently(self):
         p = parse_program(LEN_CTX + "x.first()")
-        trials = {
-            prni_test(p, parse_sectype("String!"), self.cfg(pairs=1000, seed=s)).trial
-            for s in range(4)
-        }
-        assert len(trials) >= 1  # all refute; trial indices may differ
+        witnesses = set()
+        for s in range(4):
+            v = prni_test(p, parse_sectype("String!"), self.cfg(pairs=1000, seed=s))
+            assert isinstance(v, Counterexample), s
+            witnesses.add((tuple(sorted(v.gamma1.items())), tuple(sorted(v.gamma2.items()))))
+        assert len(witnesses) >= 2
 
     def test_object_input_leak_is_refuted(self):
         p = parse_program((PROGRAMS / "object_leak.gobsec").read_text())
