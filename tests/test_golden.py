@@ -22,23 +22,37 @@ from gobsec.syntax import fresh
 GOLDEN = Path(__file__).parent / "golden"
 
 
+PROGRAMS = Path(__file__).parent / "programs"
+
+
 def _prni(f: str) -> list[str]:
     return ["prni", f, "--seed", "1", "--pairs", "25", "--json"]
 
 
-# golden file name -> argument list built from a program path (None: one run
-# over the whole corpus)
+def _prni_seeds(f: str) -> list[list[str]]:
+    # More seeds and two step indices: the RNG order of generation and
+    # probing shows in every witness.
+    return [
+        ["prni", f, "--seed", str(seed), "--k", str(k), "--pairs", "25", "--json"]
+        for seed in range(2, 7)
+        for k in (2, 6)
+    ]
+
+
+# golden file name -> the argument lists built from a program path (None: one
+# run over the whole corpus)
 COMMANDS = {
-    "check.txt": lambda f: ["check", f, "--json"],
-    "check_simple.txt": lambda f: ["check", "--simple", f, "--json"],
-    "prni.txt": _prni,
-    "prni_programs.txt": _prni,
+    "check.txt": lambda f: [["check", f, "--json"]],
+    "check_simple.txt": lambda f: [["check", "--simple", f, "--json"]],
+    "prni.txt": lambda f: [_prni(f)],
+    "prni_programs.txt": lambda f: [_prni(f)],
+    "prni_seeds.txt": _prni_seeds,
     "corpus.txt": None,
 }
 
-# golden file name -> the directory whose programs it runs, where that is not
-# the shipped corpus
-PROGRAM_DIRS = {"prni_programs.txt": Path(__file__).parent / "programs"}
+# golden file name -> the directories whose programs it runs, where that is
+# not the shipped corpus
+PROGRAM_DIRS = {"prni_programs.txt": [PROGRAMS], "prni_seeds.txt": [corpus_dir(), PROGRAMS]}
 
 
 def _run(args: list[str]) -> str:
@@ -52,8 +66,9 @@ def render(name: str) -> str:
     build = COMMANDS[name]
     if build is None:
         return _run(["corpus", "--json", "--seed", "42", "--pairs", "25"])
-    programs = PROGRAM_DIRS.get(name) or corpus_dir()
-    return "".join(_run(build(str(p))) for p in sorted(programs.glob("*.gobsec")))
+    dirs = PROGRAM_DIRS.get(name) or [corpus_dir()]
+    programs = [p for d in dirs for p in sorted(d.glob("*.gobsec"))]
+    return "".join(_run(args) for p in programs for args in build(str(p)))
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -67,7 +82,7 @@ def _fresh_count() -> int:
 
 @pytest.mark.parametrize(
     "path",
-    [corpus_dir() / "subject_fst.gobsec", PROGRAM_DIRS["prni_programs.txt"] / "list_tail_leak.gobsec"],
+    [corpus_dir() / "subject_fst.gobsec", PROGRAMS / "list_tail_leak.gobsec"],
     ids=lambda p: p.name,
 )
 def test_prni_output_does_not_depend_on_earlier_fresh_names(path):
