@@ -32,8 +32,8 @@ from .parser import (
     parse_sectype,
     pretty_print,
 )
-from .prni import Counterexample, NoCounterexample, PrniConfig, prni_test, verdict_to_json
-from .syntax import GobsecError, ObjType, is_value
+from .prni import Counterexample, NoCounterexample, PrniConfig, default_pool, prni_test, substitutions, verdict_to_json
+from .syntax import GobsecError, ObjType, is_value, subst_type_vars
 from .typecheck import TypeError_, sec_check, sec_synth, simple_synth
 from .wellformed import WfIssue, wf_term_env, wf_tvar_env
 
@@ -273,7 +273,11 @@ def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fu
         except TypeError_:
             click.echo("body has no synthesizable security type; pass --observe", err=True)
             sys.exit(EXIT_BAD_INPUT)
-    if k < 2 and isinstance(observe_at.decl, ObjType):
+    # The facet as the harness sees it: under each substitution it can draw.
+    if k < 2 and any(
+        isinstance(subst_type_vars(observe_at.decl, sigma), ObjType)
+        for sigma in substitutions(prog.tvars, default_pool(prog))
+    ):
         click.echo("--k 1 relates every pair at an object observation type; use --k 2 or more", err=True)
         sys.exit(EXIT_BAD_INPUT)
     config = PrniConfig(pairs=pairs, substs=substs, k=k, fuel=fuel, seed=seed)

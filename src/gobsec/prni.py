@@ -13,8 +13,8 @@ policies, the harness
 4. probes the two results at the observation type, method by method,
    recursively, with the step index bounding observation depth. A result
    is probed as the machine value it is: a closure is called in its own
-   environment, and only a counterexample's outputs are read back to
-   terms.
+   environment, and only a counterexample's inputs and outputs are read
+   back to terms.
 
 Every policy is read once, the way a public observer can use it: at
 `T<U>` the observer calls exactly `U`'s methods, and a primitive
@@ -27,6 +27,17 @@ results, a method only in `T` with independent ones, and at step index
 0 every method diverges. A list is no exception: its input is a chain of
 `k` levels whose last one diverges, and related lists may differ in
 shape wherever the policy hides it.
+
+All of that depends on the types alone, so it is worked out once per
+verdict (`_Stage`), the first time a type is met, and a trial only draws
+primitive leaves and runs the machine. An input type has a template
+(`_Template`): the unrolled object literal of its pair, with a free
+variable at each primitive leaf and the leaf's policy resolved to its
+partition. A trial draws the leaves in the template's order and binds
+them in the closure's environment. An observation type has a probe plan:
+per method and sampled instantiation, the arguments' and result's types,
+the public arguments, the probe call and the plan of the result type (a
+recursive type's plan links back to itself).
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -70,7 +81,6 @@ from .syntax import (
     TypeVarEnv,
     Var,
     canon,
-    canon_expr,
     fresh,
     instantiate_tparams,
     is_top,
@@ -231,19 +241,61 @@ def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) 
     return cands
 
 
+class _Candidates:
+    """`_interval_candidates` over one pool, computed once per interval.
+
+    An interval is keyed by its bounds' canonical forms. The list holds the
+    bounds themselves, and a choice prints as it is written, so a hit is
+    used only when the bounds are also equal as written."""
+
+    def __init__(self, pool: dict[str, DeclType]):
+        self.pool = pool
+        self._memo: dict = {}
+
+    def __call__(self, lo: DeclType, hi: DeclType) -> list[DeclType]:
+        key = (canon(lo), canon(hi))
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] == lo and hit[1] == hi:
+            return hit[2]
+        cands = _interval_candidates(lo, hi, self.pool)
+        if hit is None:
+            self._memo[key] = (lo, hi, cands)
+        return cands
+
+
 def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Random) -> dict[str, DeclType]:
     """One substitution in the relational interpretation of `delta`: for
     each variable, a closed type within its bounds, drawn uniformly from
     the bound endpoints and the pool types that fit the interval. Earlier
     choices substitute into later bounds."""
+    return _sample_subst(delta, _Candidates(pool), rng)
+
+
+def _sample_subst(delta: TypeVarEnv, candidates: _Candidates, rng: random.Random) -> dict[str, DeclType]:
+    """`sample_subst` over the intervals' `candidates`, which several draws
+    may share."""
 
     def pick(name: str, lo: DeclType, hi: DeclType) -> DeclType:
-        cands = _interval_candidates(lo, hi, pool)
+        cands = candidates(lo, hi)
         if not cands:
             raise EmptyInterval(f"no candidate type lies within the bounds of {name}")
         return rng.choice(cands)
 
     return instantiate_tparams([TParam(name, lo, hi) for name, (lo, hi) in delta.items()], pick)
+
+
+def substitutions(delta: TypeVarEnv, pool: dict[str, DeclType]) -> list[dict[str, DeclType]]:
+    """Every substitution `sample_subst` can draw: each variable at each of
+    its candidates, earlier choices substituted into later bounds."""
+    candidates = _Candidates(pool)
+    out: list[dict[str, DeclType]] = [{}]
+    for name, (lo, hi) in delta.items():
+        out = [
+            {**sub, name: c}
+            for sub in out
+            for c in candidates(subst_type_vars(lo, sub), subst_type_vars(hi, sub))
+        ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +324,18 @@ _UNIVERSE: dict[str, tuple] = {
 }
 
 
+#: Each literal of the universe, built once; a drawn leaf is looked up here.
+_LITS: dict[str, dict] = {kind: {v: PrimLit(v, kind) for v in values} for kind, values in _UNIVERSE.items()}
+
+
 def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
+    lits = _LITS[kind]
     if kind == "Int":
-        return PrimLit(rng.randint(0, 9), "Int")
+        return lits[rng.randint(0, 9)]
     if kind == "String":
-        return PrimLit("".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 4))), "String")
+        return lits["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 4)))]
     if kind == "Bool":
-        return PrimLit(rng.random() < 0.5, "Bool")
+        return lits[rng.random() < 0.5]
     return UNIT
 
 
@@ -322,35 +379,19 @@ def _partition(kind: str, u: ObjType, values: tuple, seen: frozenset = frozenset
 # Related-pair generation
 # ---------------------------------------------------------------------------
 
-
-def gen_related_pair(s: Faceted, k: int, rng: random.Random) -> tuple[Expr, Expr]:
-    """A pair of closed values related at the closed security type `s` for
-    `k` observation steps.
-
-    A primitive pair is a literal and a second one drawn uniformly from
-    its class in the policy's partition of the literal universe
-    (`_partition`): equal literals when public, independent ones at
-    `Top`. Every object, a list included, is built from the relation at
-    `T<U>` (`_gen_obj_pair`): a chain of `k` levels below which every
-    method diverges.
-    """
-    t, u = s.safety, s.decl
-    if isinstance(u, TypeVar):
-        raise NoGenerator(f"declassification facet {u.name} is not closed")
-    if isinstance(t, Prim):
-        return _gen_prim_pair(t.kind, u, rng)
-    if isinstance(t, ObjType):
-        return _gen_obj_pair(t, u, k, rng)
-    raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
+# How the second literal of a primitive leaf relates to the first: equal
+# (public), independent (`Top`), or, for a partition, drawn from its class.
+_EQUAL, _ANY = "equal", "any"
 
 
-def _gen_prim_pair(kind: str, u: DeclType, rng: random.Random) -> tuple[Expr, Expr]:
-    v1 = _rand_lit(kind, rng)
+def _leaf(kind: str, u: DeclType) -> tuple:
+    """The spec of a primitive leaf at `kind<u>`: its kind, and `_EQUAL`,
+    `_ANY` or the policy's partition of the universe."""
     if isinstance(u, Prim):
-        return v1, v1  # public: syntactically equal
+        return kind, _EQUAL
     if is_top(u):
-        return v1, _rand_lit(kind, rng)
-    return v1, PrimLit(rng.choice(_partition(kind, u, _UNIVERSE[kind])[v1.value]), kind)
+        return kind, _ANY
+    return kind, _partition(kind, u, _UNIVERSE[kind])
 
 
 def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
@@ -359,51 +400,256 @@ def _ret_at_lower_bounds(sig: GenericSig) -> Faceted:
     return subst_type_vars(sig.ret, instantiate_tparams(sig.tparams, lambda _, lo, hi: lo))
 
 
-@functools.lru_cache(maxsize=1024)
-def _method_table(t: ObjType, u: DeclType) -> tuple[tuple[str, GenericSig, Faceted], ...]:
-    """For each method of `t`: its name, its closed signature, and the type
-    at which `_gen_obj_pair` relates its two results. Built once per
-    `T<U>`, since `msig` unfolds a recursive type such as a list's on every
-    call."""
-    rows = []
-    for name, _ in t.methods:
-        sig = msig({}, t, name)
-        if isinstance(sig, PrimSig):
-            raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
-        decl = TOP
-        if isinstance(u, ObjType) and u.sig(name) is not None:
-            decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
-        rows.append((name, sig, Faceted(_ret_at_lower_bounds(sig).safety, decl)))
-    return tuple(rows)
+class _Template:
+    """Two values related at one closed security type for `k` steps, with
+    everything but their primitive leaves built once (`_Stage.build`).
+
+    At an object type, `term` is the object literal of both sides at once:
+    each primitive leaf is a free variable of it, named in `names` in the
+    order `draw` draws it, and `value` binds one side's leaves in the
+    closure's environment. At a primitive type `term` is None and the
+    pair is its one leaf."""
+
+    __slots__ = ("term", "names", "specs")
+
+    def __init__(self, stage: "_Stage", s: Faceted, k: int):
+        names: list[str] = []
+        specs: list[tuple] = []
+        term = stage.build(s, k, names, specs)
+        self.term = term if type(term) is ObjectLit else None
+        self.names = tuple(names)
+        self.specs = tuple(specs)
+
+    def draw(self, rng: random.Random) -> tuple[list[PrimLit], list[PrimLit]]:
+        """Both sides' leaves, drawn in order."""
+        leaves1, leaves2 = [], []
+        for kind, classes in self.specs:
+            v1 = _rand_lit(kind, rng)
+            if classes is _EQUAL:
+                v2 = v1
+            elif classes is _ANY:
+                v2 = _rand_lit(kind, rng)
+            else:
+                v2 = _LITS[kind][rng.choice(classes[v1.value])]
+            leaves1.append(v1)
+            leaves2.append(v2)
+        return leaves1, leaves2
+
+    def value(self, leaves: list[PrimLit]):
+        """The machine value of one side: its leaf, or the closure of `term`
+        over its leaves."""
+        if self.term is None:
+            return leaves[0]
+        return self.term, bind(dict(zip(self.names, leaves)))
 
 
-def _gen_obj_pair(t: ObjType, u: DeclType, k: int, rng: random.Random) -> tuple[Expr, Expr]:
-    """Two objects related at `T<U>` for `k` steps, built from the relation.
-
-    A method in `U` returns a pair related at `U`'s return declassification
-    over `T`'s return safety; a method only in `T` returns a pair at
-    declassification `Top`, which the observer cannot tell apart. Type
-    parameters sit at their lower bounds, the instantiation that observes
-    most; the bodies ignore their arguments. At `k <= 0` every method calls
-    itself and diverges, which relates to everything. A recursive type
-    such as a list is thus a chain of `k` levels whose last one diverges.
-    """
-    z = fresh("z")
-    methods1, methods2 = [], []
-    for name, sig, ret in _method_table(t, u):
-        params = tuple(fresh("x") for _ in sig.args)
-        if k <= 0:
-            b1 = b2 = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
-        else:
-            b1, b2 = gen_related_pair(ret, k - 1, rng)
-        methods1.append(MethodDef(name, params, b1))
-        methods2.append(MethodDef(name, params, b2))
-    return ObjectLit(z, public(t), tuple(methods1)), ObjectLit(z, public(t), tuple(methods2))
+def gen_related_pair(s: Faceted, k: int, rng: random.Random) -> tuple:
+    """A pair of machine values (literals or closures) related at the
+    closed security type `s` for `k` observation steps, drawn from a fresh
+    template (`_Template`)."""
+    template = _Stage({}).template(s, k)
+    leaves1, leaves2 = template.draw(rng)
+    return template.value(leaves1), template.value(leaves2)
 
 
 # ---------------------------------------------------------------------------
 # Relatedness checking (bounded, refutation-sound)
 # ---------------------------------------------------------------------------
+
+_UNRESOLVED = object()
+
+
+class _Row:
+    """One method of a probe plan at one instantiation of its type
+    parameters, with everything a probe needs that does not depend on the
+    probed values."""
+
+    __slots__ = ("name", "ti", "targs", "pubs", "gens", "ret", "node", "names", "call", "steps", "fixed")
+
+    def __init__(self, name: str, ti: int, inst: dict[str, DeclType], sig: GenericSig):
+        self.name, self.ti = name, ti
+        self.targs = tuple(inst.values())
+        args_types = [subst_type_vars(a, inst) for a in sig.args]
+        self.ret = subst_type_vars(sig.ret, inst)
+        self.node = _UNRESOLVED  # the result type's plan, resolved when first reached
+        # Public primitive positions take `_public_arg`; every other one a
+        # pair from its type's template.
+        public = [isinstance(at.safety, Prim) and type_equiv(at.safety, at.decl) for at in args_types]
+        self.pubs = tuple((j, at.safety.kind) for j, at in enumerate(args_types) if public[j])
+        self.gens = tuple((j, at) for j, at in enumerate(args_types) if not public[j])
+        self.names = ("r", *(f"a{j}" for j in range(len(args_types))))
+        self.call = Invoke(Var("r"), name, self.targs, tuple(Var(p) for p in self.names[1:]))
+        self.steps = tuple(str((name, ti, ai)) for ai in range(ASAMPLES))
+        # With public arguments only, and receivers that are not literals,
+        # each sample's arguments are fixed; a repeat is None.
+        self.fixed = None
+        if not self.gens:
+            samples = [tuple(_public_arg(kind, (), ai + j) for j, kind in self.pubs) for ai in range(ASAMPLES)]
+            self.fixed = tuple(None if args in samples[:ai] else args for ai, args in enumerate(samples))
+
+    def args(self, ai: int, v1, v2, k: int, ctx: "ProbeContext", path: tuple) -> tuple:
+        """The arguments of sample `ai` on each side, and their probe key. A
+        non-public argument is a pair from its template at `k - 1`, drawn
+        from a generator seeded by the probe's path."""
+        n = len(self.names) - 1
+        args1, args2, keys1, keys2 = [None] * n, [None] * n, [None] * n, [None] * n
+        for j, kind in self.pubs:
+            args1[j] = args2[j] = keys1[j] = keys2[j] = _public_arg(kind, (v1, v2), ai + j)
+        if self.gens:
+            arng = _rng(ctx.seed, "args", *path, self.name, self.ti, ai)
+            for j, at in self.gens:
+                template = ctx.stage.template(at, k - 1)
+                leaves1, leaves2 = template.draw(arng)
+                args1[j], args2[j] = template.value(leaves1), template.value(leaves2)
+                keys1[j], keys2[j] = tuple(leaves1), tuple(leaves2)
+        return args1, args2, (tuple(keys1), tuple(keys2))
+
+    def observation(self, args1: list, args2: list) -> Observation:
+        return Observation(
+            self.name,
+            tuple(pretty_print(t) for t in self.targs),
+            tuple(pretty_print(_term(a)) for a in args1),
+            tuple(pretty_print(_term(a)) for a in args2),
+        )
+
+
+def _term(v) -> Expr:
+    """The term of a machine value, read back only when it is a closure."""
+    return readback(v) if type(v) is tuple else v
+
+
+def _sample_instantiations(sig: GenericSig, candidates: _Candidates) -> list[dict[str, DeclType]]:
+    """Up to TSAMPLES instantiations of `sig`'s type parameters: the i-th
+    takes each parameter's i-th interval candidate (or its last), falling
+    back to the upper bound when no candidate fits."""
+    out: list[dict[str, DeclType]] = []
+    for i in range(TSAMPLES):
+
+        def pick(_, lo: DeclType, hi: DeclType) -> DeclType:
+            cands = candidates(lo, hi)
+            return cands[min(i, len(cands) - 1)] if cands else hi
+
+        inst = instantiate_tparams(sig.tparams, pick)
+        if inst not in out:
+            out.append(inst)
+    return out
+
+
+class _Stage:
+    """The part of one verdict's generation and probing that depends on the
+    types alone, each piece built the first time it is needed.
+
+    A security type's template (per step index) and probe node are kept
+    under the type, compared as written, and each object is hashed once:
+    later lookups go by its identity (the entry holds the object, so its
+    identity is not reused). A probe node is None where everything is
+    related, a primitive kind where two literals of it are compared, or
+    the plan of an object facet: its rows (`_Row`), probed in order."""
+
+    def __init__(self, pool: dict[str, DeclType]):
+        self.candidates = _Candidates(pool)
+        self._by_id: dict = {}
+        self._made: dict = {}
+        self._plans: dict = {}
+        self._tables: dict = {}
+
+    def template(self, s: Faceted, k: int) -> _Template:
+        return self._once(s, k, lambda: _Template(self, s, k))
+
+    def node(self, s: Faceted):
+        return self._once(s, None, lambda: self._node(s))
+
+    def _once(self, s: Faceted, k: int | None, make):
+        hit = self._by_id.get((id(s), k))
+        if hit is None:
+            made = self._made.get((s, k), _UNRESOLVED)
+            if made is _UNRESOLVED:
+                made = self._made[(s, k)] = make()
+            hit = self._by_id[(id(s), k)] = (s, made)
+        return hit[1]
+
+    def _node(self, s: Faceted):
+        t, u = s.safety, s.decl
+        if isinstance(u, TypeVar):
+            raise GobsecError(f"relatedness at an open type {u.name}")
+        if isinstance(t, Prim) and isinstance(u, Prim):
+            return t.kind if u.kind == t.kind else None
+        if not isinstance(u, ObjType):
+            return None
+        plan = self._plans.get(u)
+        if plan is None:
+            plan = self._plans[u] = tuple(
+                _Row(name, ti, inst, sig)
+                for name, sig in ((name, _observable(msig({}, u, name))) for name, _ in u.methods)
+                for ti, inst in enumerate(_sample_instantiations(sig, self.candidates))
+            )
+        return plan
+
+    def _table(self, t: ObjType, u: DeclType) -> tuple:
+        """For each method of `t`: its name, its closed signature, the type
+        at which its two results are related, and that type's leaf spec when
+        it is primitive."""
+        rows = self._tables.get((t, u))
+        if rows is None:
+            rows = []
+            for name, _ in t.methods:
+                sig = msig({}, t, name)
+                if isinstance(sig, PrimSig):
+                    raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
+                decl = TOP
+                if isinstance(u, ObjType) and u.sig(name) is not None:
+                    decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
+                ret = Faceted(_ret_at_lower_bounds(sig).safety, decl)
+                leaf = None
+                if isinstance(ret.safety, Prim) and not isinstance(decl, TypeVar):
+                    leaf = _leaf(ret.safety.kind, decl)
+                rows.append((name, sig, ret, leaf))
+            rows = self._tables[(t, u)] = tuple(rows)
+        return rows
+
+    def build(self, s: Faceted, k: int, names: list[str], specs: list[tuple]) -> Expr:
+        """The term of a template at `s` for `k` steps (see `_Template`),
+        appending each leaf's variable and spec to `names` and `specs` in
+        draw order.
+
+        A primitive pair is a single leaf: a literal and a second one drawn
+        uniformly from its class in the policy's partition of the literal
+        universe (`_partition`), so equal literals when public and
+        independent ones at `Top`. Every object, a list included, is built
+        from the relation at `T<U>`: a method in `U` returns a pair related
+        at `U`'s return declassification over `T`'s return safety; a method
+        only in `T` returns a pair at declassification `Top`, which the
+        observer cannot tell apart. Type parameters sit at their lower
+        bounds, the instantiation that observes most; the bodies ignore
+        their arguments. At `k <= 0` every method calls itself and diverges,
+        which relates to everything. A recursive type such as a list is thus
+        a chain of `k` levels whose last one diverges.
+        """
+        t, u = s.safety, s.decl
+        if isinstance(u, TypeVar):
+            raise NoGenerator(f"declassification facet {u.name} is not closed")
+        if isinstance(t, Prim):
+            return self._leaf_var(_leaf(t.kind, u), names, specs)
+        if not isinstance(t, ObjType):
+            raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
+        z = fresh("z")
+        methods = []
+        for name, sig, ret, leaf in self._table(t, u):
+            params = tuple(fresh("x") for _ in sig.args)
+            if k <= 0:
+                body = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))
+            elif leaf is not None:
+                body = self._leaf_var(leaf, names, specs)
+            else:
+                body = self.build(ret, k - 1, names, specs)
+            methods.append(MethodDef(name, params, body))
+        return ObjectLit(z, public(t), tuple(methods))
+
+    @staticmethod
+    def _leaf_var(leaf: tuple, names: list[str], specs: list[tuple]) -> Var:
+        names.append(fresh("v"))
+        specs.append(leaf)
+        return Var(names[-1])
 
 
 @dataclass
@@ -411,11 +657,14 @@ class ProbeContext:
     pool: dict[str, DeclType] = field(default_factory=dict)
     seed: int = 0
     budget: int = PROBE_BUDGET
+    # The templates and plans of the checks made in this context.
+    stage: _Stage = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.stage = _Stage(self.pool)
 
 
-def check_related(
-    k: int, v1: Expr, v2: Expr, s: Faceted, ctx: ProbeContext, _path: tuple = ()
-) -> tuple[bool, list[Observation] | None]:
+def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, list[Observation] | None]:
     """Probe whether `v1` and `v2`, machine values or closed value terms,
     are related at `s` for `k` steps.
 
@@ -423,91 +672,64 @@ def check_related(
     probe distinguishes them within the step index and budget. Probes are
     keyed by structural path so a larger `k` replays the shallower probes
     identically (refutations are monotone in `k`). Every method of the
-    declassification facet is probed at its observable signature.
+    declassification facet is probed at its observable signature, through
+    the facet's probe plan.
     """
     if k <= 0 or ctx.budget <= 0:
         return True, None
-    t, u = s.safety, s.decl
-    if isinstance(u, TypeVar):
-        raise GobsecError(f"relatedness at an open type {u.name}")
-    if isinstance(t, Prim) and isinstance(u, Prim):
-        if u.kind == t.kind and isinstance(v1, PrimLit) and isinstance(v2, PrimLit):
-            if v1.kind == v2.kind and v1.value == v2.value:
-                return True, None
+    return _related(k, v1, v2, ctx.stage.node(s), ctx, ())
+
+
+def _related(k: int, v1, v2, node, ctx: ProbeContext, path: tuple) -> tuple[bool, list[Observation] | None]:
+    """`check_related` at a probe node, with `k > 0` and budget left. `path`
+    holds the probe steps above, as the strings that seed their
+    arguments."""
+    if node is None:
+        return True, None
+    if type(node) is str:
+        if type(v1) is PrimLit and type(v2) is PrimLit and not (v1.kind == v2.kind and v1.value == v2.value):
             return False, []
         return True, None
-    if not isinstance(u, ObjType):
-        return True, None
-    for name, _ in u.methods:
-        ok, path = _probe_generic_method(k, v1, v2, name, _observable(msig({}, u, name)), ctx, _path)
-        if not ok:
-            return False, path
+    literal_receivers = type(v1) is PrimLit or type(v2) is PrimLit
+    for row in node:
+        fixed = None if literal_receivers else row.fixed
+        tried: set = set()  # probe keys, when the arguments are not fixed
+        for ai in range(ASAMPLES):
+            if ctx.budget <= 0:
+                return True, None
+            if fixed is not None:
+                args1 = args2 = fixed[ai]
+                if args1 is None:
+                    continue
+            else:
+                args1, args2, key = row.args(ai, v1, v2, k, ctx, path)
+                if key in tried:
+                    continue
+                tried.add(key)
+            out = _outcomes(row, v1, v2, args1, args2, ctx)
+            if out is None or k <= 1 or ctx.budget <= 0:
+                continue
+            if row.node is _UNRESOLVED:
+                row.node = ctx.stage.node(row.ret)
+            ok, sub = _related(k - 1, out[0], out[1], row.node, ctx, path + (row.steps[ai],))
+            if not ok:
+                return False, [row.observation(args1, args2)] + sub
     return True, None
 
 
-def _outcomes(v1, v2, name, targs, args1, args2, ctx) -> tuple | None:
+def _outcomes(row: _Row, v1, v2, args1, args2, ctx: ProbeContext) -> tuple | None:
+    """Run the row's call `r.name<targs>(a0, ...)` on each side, with the
+    receiver and the arguments bound in the environment, so a closure is
+    called as it is. Looking them up costs no step, so the call costs the
+    one contraction that invoking the read-back receiver would."""
     ctx.budget -= 1
-    r1 = _probe(v1, name, targs, args1)
-    r2 = _probe(v2, name, targs, args2)
-    if isinstance(r1, Value) and isinstance(r2, Value):
+    r1 = run_machine(row.call, bind(dict(zip(row.names, (v1, *args1)))), PROBE_FUEL)
+    r2 = run_machine(row.call, bind(dict(zip(row.names, (v2, *args2)))), PROBE_FUEL)
+    if type(r1) is Value and type(r2) is Value:
         return r1.expr, r2.expr
     # Termination-insensitive: a timeout (or stuck probe, possible only on
     # ill-typed inputs) never distinguishes.
     return None
-
-
-def _probe(recv, name: str, targs: tuple, args: list) -> Outcome:
-    """Run the call `r.name<targs>(a0, ...)` with the receiver and the
-    arguments bound in the environment, so a closure is called as it is.
-    Looking them up costs no step, so the call costs the one contraction
-    that invoking the read-back receiver would."""
-    params = tuple(f"a{i}" for i in range(len(args)))
-    call = Invoke(Var("r"), name, targs, tuple(Var(p) for p in params))
-    return run_machine(call, bind({"r": recv, **dict(zip(params, args))}), PROBE_FUEL)
-
-
-def _probe_generic_method(k, v1, v2, name, sig: GenericSig, ctx, path) -> tuple[bool, list | None]:
-    tried: set = set()
-    for ti, inst in enumerate(_sample_instantiations(sig, ctx)):
-        targs = tuple(inst.values())
-        args_types = [subst_type_vars(a, inst) for a in sig.args]
-        ret = subst_type_vars(sig.ret, inst)
-        for ai in range(ASAMPLES):
-            if ctx.budget <= 0:
-                return True, None
-            arng = None
-            args1, args2 = [], []
-            for j, at in enumerate(args_types):
-                if isinstance(at.safety, Prim) and type_equiv(at.safety, at.decl):
-                    a1 = a2 = _public_arg(at.safety.kind, (v1, v2), ai + j)
-                else:
-                    if arng is None:
-                        arng = _rng(ctx.seed, "args", *[str(p) for p in path], name, ti, ai)
-                    a1, a2 = gen_related_pair(at, k - 1, arng)
-                args1.append(a1)
-                args2.append(a2)
-            probe_key = (
-                tuple(canon(t) for t in targs),
-                tuple(_probe_key(a) for a in args1),
-                tuple(_probe_key(a) for a in args2),
-            )
-            if probe_key in tried:
-                continue
-            tried.add(probe_key)
-            out = _outcomes(v1, v2, name, targs, args1, args2, ctx)
-            if out is None:
-                continue
-            r1, r2 = out
-            ok, sub = check_related(k - 1, r1, r2, ret, ctx, path + ((name, ti, ai),))
-            if not ok:
-                step = Observation(
-                    name,
-                    tuple(pretty_print(t) for t in targs),
-                    tuple(pretty_print(a) for a in args1),
-                    tuple(pretty_print(a) for a in args2),
-                )
-                return False, [step] + (sub or [])
-    return True, None
 
 
 _PROBE_BASE = {"Int": (0, 1, 2), "String": ("a", "", "b"), "Bool": (True, False), "Unit": (None,)}
@@ -523,29 +745,6 @@ def _public_arg(kind: str, receivers: tuple, salt: int) -> PrimLit:
         if v not in vals:
             vals.append(v)
     return PrimLit(vals[salt % len(vals)], kind)
-
-
-def _probe_key(a: Expr):
-    if isinstance(a, PrimLit):
-        return ("lit", a.kind, a.value)
-    return ("expr", canon_expr(a))
-
-
-def _sample_instantiations(sig: GenericSig, ctx: ProbeContext) -> list[dict[str, DeclType]]:
-    """Up to TSAMPLES instantiations of `sig`'s type parameters: the i-th
-    takes each parameter's i-th interval candidate (or its last), falling
-    back to the upper bound when no candidate fits."""
-    out: list[dict[str, DeclType]] = []
-    for i in range(TSAMPLES):
-
-        def pick(_, lo: DeclType, hi: DeclType) -> DeclType:
-            cands = _interval_candidates(lo, hi, ctx.pool)
-            return cands[min(i, len(cands) - 1)] if cands else hi
-
-        inst = instantiate_tparams(sig.tparams, pick)
-        if inst not in out:
-            out.append(inst)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +777,16 @@ def prni_test(
     simple_synth(program.vars, program.body)
     if pool is None:
         pool = default_pool(program)
+    # One context for the whole verdict, so its templates and plans are
+    # built once; each trial gets its own probe seed and budget.
+    ctx = ProbeContext(pool=pool)
     delta = dict(program.tvars)
     gamma = dict(program.vars)
     body = program.body
     substs: list[dict[str, DeclType]] = []
     n_substs = max(1, config.substs) if delta else 1
     for i in range(n_substs):
-        substs.append(sample_subst(delta, pool, _rng(config.seed, "subst", i)) if delta else {})
+        substs.append(_sample_subst(delta, ctx.stage.candidates, _rng(config.seed, "subst", i)) if delta else {})
     # Independent draws can all agree (1 seed in 512 for an interval of two
     # types), and then no trial runs the other instantiation, where a leak
     # may be. The last draw is then redrawn until it differs.
@@ -593,7 +795,7 @@ def prni_test(
 
     if len(substs) > 1 and len({key(sub) for sub in substs}) == 1:
         for i in range(n_substs, 4 * n_substs):
-            sub = sample_subst(delta, pool, _rng(config.seed, "subst", i))
+            sub = _sample_subst(delta, ctx.stage.candidates, _rng(config.seed, "subst", i))
             if key(sub) != key(substs[0]):
                 substs[-1] = sub
                 break
@@ -601,25 +803,29 @@ def prni_test(
     if not delta and not gamma:
         pairs = min(pairs, 1)  # a closed program runs deterministically
     # The body, the observation type and the input types under each
-    # substitution, computed once rather than per trial.
-    instances = [
-        (
-            sigma,
-            subst_type_vars_expr(body, sigma),
-            subst_type_vars(observe_at, sigma),
-            [subst_type_vars(xs, sigma) for xs in gamma.values()],
-        )
-        for sigma in substs
-    ]
+    # substitution, computed once per distinct substitution rather than per
+    # trial. Draws that choose the very same types share them.
+    substituted: dict = {}
+    instances = []
+    for sigma in substs:
+        key = tuple(map(id, sigma.values()))
+        if key not in substituted:
+            substituted[key] = (
+                subst_type_vars_expr(body, sigma),
+                subst_type_vars(observe_at, sigma),
+                [subst_type_vars(xs, sigma) for xs in gamma.values()],
+            )
+        instances.append((sigma, *substituted[key]))
     compared = 0
     for trial in range(pairs):
         sigma, sbody, sobserve, sxs = instances[trial % len(instances)]
-        gamma1: dict[str, Expr] = {}
-        gamma2: dict[str, Expr] = {}
+        gamma1: dict = {}
+        gamma2: dict = {}
         for xi, (x, sx) in enumerate(zip(gamma, sxs)):
-            v1, v2 = gen_related_pair(sx, config.k, _rng(config.seed, "pair", trial, xi))
-            gamma1[x] = v1
-            gamma2[x] = v2
+            template = ctx.stage.template(sx, config.k)
+            leaves1, leaves2 = template.draw(_rng(config.seed, "pair", trial, xi))
+            gamma1[x] = template.value(leaves1)
+            gamma2[x] = template.value(leaves2)
         r1 = run_machine(sbody, bind(gamma1), config.fuel)
         r2 = run_machine(sbody, bind(gamma2), config.fuel)
         if isinstance(r1, Stuck) or isinstance(r2, Stuck):
@@ -630,20 +836,22 @@ def prni_test(
         if not (isinstance(r1, Value) and isinstance(r2, Value)):
             continue  # termination-insensitive
         compared += 1
-        ctx = ProbeContext(pool=pool, seed=_mix(config.seed, "check", trial))
+        ctx.seed, ctx.budget = _mix(config.seed, "check", trial), PROBE_BUDGET
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:
+            terms1 = {x: _term(v) for x, v in gamma1.items()}
+            terms2 = {x: _term(v) for x, v in gamma2.items()}
             return Counterexample(
                 sigma={x: pretty_print(t) for x, t in sigma.items()},
-                gamma1={x: pretty_print(v) for x, v in gamma1.items()},
-                gamma2={x: pretty_print(v) for x, v in gamma2.items()},
+                gamma1={x: pretty_print(v) for x, v in terms1.items()},
+                gamma2={x: pretty_print(v) for x, v in terms2.items()},
                 observation=path or [],
                 outputs=(pretty_print(readback(r1.expr)), pretty_print(readback(r2.expr))),
                 trial=trial,
                 seed=config.seed,
                 sigma_types=dict(sigma),
-                gamma1_values=dict(gamma1),
-                gamma2_values=dict(gamma2),
+                gamma1_values=terms1,
+                gamma2_values=terms2,
             )
     return NoCounterexample(
         pairs_tested=pairs,

@@ -186,6 +186,27 @@ class TestPrniCommand:
         res = runner.invoke(main, ["prni", subject_fst, "--seed", "1", "--k", "2", "--pairs", "200"])
         assert res.exit_code == 5
 
+    @pytest.mark.parametrize(
+        "bounds, exit_code_at_k_1",
+        [("StrFstLen .. StringLen", 2), ("String .. Top", 2), ("String .. String", 5)],
+    )
+    def test_k_1_at_a_type_variable_facet(self, runner, write, bounds, exit_code_at_k_1):
+        # The guard reads the facet under every substitution the harness can
+        # draw: one object instantiation makes `--k 1` vacuous. At a
+        # primitive facet, `--k 1` compares the secret itself and refutes.
+        f = write(
+            "tvar_facet.gobsec",
+            "type StringLen = Obj(a)[ length : Unit! -> Int! ]\n"
+            "type StrFstLen = Obj(a)[ first : Unit! -> String!, length : Unit! -> Int! ]\n"
+            f"tvar X : {bounds}\nvar h : String?\nh",
+        )
+        args = ["prni", f, "--observe", "String<X>", "--seed", "1", "--pairs", "50"]
+        res = runner.invoke(main, [*args, "--k", "1"])
+        assert res.exit_code == exit_code_at_k_1, res.output
+        if exit_code_at_k_1 == 2:
+            assert "--k 2 or more" in res.stderr
+            assert runner.invoke(main, [*args, "--k", "2"]).exit_code == 5
+
     def test_k_1_at_a_primitive_observation_runs(self, runner, write):
         f = write("leak.gobsec", "var h : String?\nh")
         res = runner.invoke(main, ["prni", f, "--observe", "String!", "--seed", "1", "--k", "1"])

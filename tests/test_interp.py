@@ -213,7 +213,7 @@ def corpus_inputs(seeds):
             sigma = sample_subst(dict(prog.tvars), pool, rng) if prog.tvars else {}
             body = subst_type_vars_expr(prog.body, sigma)
             pairs = {
-                x: gen_related_pair(subst_type_vars(s, sigma), 6, rng)
+                x: tuple(map(readback, gen_related_pair(subst_type_vars(s, sigma), 6, rng)))
                 for x, s in prog.vars.items()
             }
             for side in (0, 1):

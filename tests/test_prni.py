@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import gobsec.algebra
 import gobsec.interp
 import gobsec.prni
+import gobsec.syntax
 from gobsec.cli import corpus_dir
-from gobsec.interp import Timeout, evaluate
+from gobsec.interp import Timeout, evaluate, readback
 from gobsec.parser import parse_expr, parse_program, parse_sectype, pretty_print
 from gobsec.prni import (
     Counterexample,
@@ -154,7 +156,7 @@ class TestGenRelatedPair:
         s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
         peeks_differ = False
         for seed in range(20):
-            v1, v2 = gen_related_pair(s, 6, _rng(seed))
+            v1, v2 = map(readback, gen_related_pair(s, 6, _rng(seed)))
             get1, get2 = (evaluate(Invoke(v, "get", (), (UNIT,))).expr for v in (v1, v2))
             assert get1 == get2
             peek1, peek2 = (evaluate(Invoke(v, "peek", (), (UNIT,))).expr for v in (v1, v2))
@@ -163,7 +165,7 @@ class TestGenRelatedPair:
 
     def test_object_pairs_diverge_at_step_zero(self):
         s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
-        for v in gen_related_pair(s, 0, _rng()):
+        for v in map(readback, gen_related_pair(s, 0, _rng())):
             for m in ("get", "peek"):
                 assert isinstance(evaluate(Invoke(v, m, (), (UNIT,)), 100), Timeout)
 
@@ -397,12 +399,14 @@ class TestPrniTest:
 
 
 class TestProbePath:
-    """Trials and probes run on machine values; a closure is read back to a
-    term only to print a counterexample's outputs."""
+    """Trials and probes run on machine values, and inputs are drawn into
+    prebuilt templates; a closure is read back to a term only to print a
+    counterexample."""
 
     @staticmethod
     def events(monkeypatch):
-        """The log of `_readback` calls and `check_related` returns."""
+        """The log of `check_related` returns and of read-back: `_readback`
+        calls, and the term rewriting it is made of."""
         log = []
         readback, check_related = gobsec.interp._readback, gobsec.prni.check_related
 
@@ -415,15 +419,24 @@ class TestProbePath:
             log.append(("checked", None))
             return out
 
+        def logged(name, fn):
+            def go(*args, **kwargs):
+                log.append((name, None))
+                return fn(*args, **kwargs)
+
+            return go
+
         monkeypatch.setattr(gobsec.interp, "_readback", counted_readback)
         monkeypatch.setattr(gobsec.prni, "check_related", logged_check_related)
+        for name in ("erase_surface", "subst_term"):
+            monkeypatch.setattr(gobsec.interp, name, logged(name, getattr(gobsec.interp, name)))
         return log
 
     @staticmethod
-    def run(name, seed):
+    def run(name, seed, directory=None):
         from gobsec.typecheck import sec_synth
 
-        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
+        p = parse_program(((directory or corpus_dir()) / name).read_text(encoding="utf-8"))
         observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
         return prni_test(p, observe, PrniConfig(pairs=25, seed=seed))
 
@@ -431,6 +444,17 @@ class TestProbePath:
         log = self.events(monkeypatch)
         assert isinstance(self.run("list_concat_mixed.gobsec", 0), NoCounterexample)
         assert log and all(kind == "checked" for kind, _ in log)
+
+    def test_object_inputs_are_read_back_only_for_the_witness(self, monkeypatch):
+        # The list inputs are closures over their drawn leaves; they become
+        # terms once the verdict is a counterexample, to be printed.
+        log = self.events(monkeypatch)
+        v = self.run("list_tail_leak.gobsec", 1, PROGRAMS)
+        assert isinstance(v, Counterexample)
+        last_check = max(i for i, (kind, _) in enumerate(log) if kind == "checked")
+        assert all(kind == "checked" for kind, _ in log[:last_check])
+        read = [value for kind, value in log[last_check + 1 :] if kind == "readback"]
+        assert sum(type(value) is tuple for value in read) >= 2  # each side's list, a closure
 
     def test_only_the_counterexample_outputs_are_read_back(self, monkeypatch):
         log = self.events(monkeypatch)
@@ -440,3 +464,56 @@ class TestProbePath:
         assert all(kind == "checked" for kind, _ in log[:last_check])
         read = [value for _, value in log[last_check + 1 :]]
         assert [pretty_print(value) for value in read] == list(v.outputs)
+
+
+class TestStagedWork:
+    """What depends on the types alone (method signatures, substitutions,
+    interval candidates, partitions, the templates' method definitions) is
+    built once per verdict: it does not grow with the number of trials."""
+
+    COUNTED = (
+        (gobsec.algebra, "msig"),
+        (gobsec.syntax, "subst_type_vars"),
+        (gobsec.algebra, "in_interval"),
+        (gobsec.prni, "_partition"),
+    )
+
+    def counts(self, pairs):
+        import sys
+
+        from gobsec.syntax import MethodDef
+
+        counts = dict.fromkeys([name for _, name in self.COUNTED] + ["MethodDef"], 0)
+
+        def counted(name, fn):
+            def go(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return go
+
+        post_init = MethodDef.__post_init__
+
+        def counted_post_init(self_):
+            counts["MethodDef"] += 1
+            post_init(self_)
+
+        modules = [m for n, m in sys.modules.items() if n.startswith("gobsec.")]
+        with pytest.MonkeyPatch.context() as mp:
+            for home, name in self.COUNTED:
+                fn = getattr(home, name)
+                for m in modules:
+                    if getattr(m, name, None) is fn:
+                        mp.setattr(m, name, counted(name, fn))
+            mp.setattr(MethodDef, "__post_init__", counted_post_init)
+            p = parse_program((corpus_dir() / "list_concat_mixed.gobsec").read_text(encoding="utf-8"))
+            from gobsec.typecheck import sec_synth
+
+            v = prni_test(p, sec_synth(p.tvars, p.vars, p.body), PrniConfig(pairs=pairs, seed=0))
+        assert isinstance(v, NoCounterexample) and v.compared == pairs
+        return counts
+
+    def test_per_verdict_work_does_not_grow_with_pairs(self):
+        few = self.counts(25)
+        assert all(few.values()), few
+        assert self.counts(200) == few
