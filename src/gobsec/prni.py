@@ -57,7 +57,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .algebra import in_interval, msig, type_equiv
-from .interp import Outcome, Stuck, StuckError, Value, bind, readback, run_machine, theta
+from .interp import Stuck, StuckError, Value, bind, readback, run_machine, theta
 from .interp import evaluate  # noqa: F401  kept as `prni.evaluate`, which perfbench's tracer test patches
 from .parser import SourceProgram, pretty_print
 from .syntax import (
