@@ -1,17 +1,21 @@
 """Golden output: the CLI's JSON output on the shipped corpus and on
-`tests/programs`, byte for byte.
+`tests/programs`, and every command's exit code, stdout and stderr on the
+one-fault programs of `tests/errors`, byte for byte.
 
 A refactoring that keeps behaviour must keep these bytes. A change that
 means to alter them rewrites the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-and the diff of `tests/golden/` shows what moved.
+(all of them when no NAME such as `errors.txt` is given), and the diff of
+`tests/golden/` shows what moved.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 PROGRAMS = Path(__file__).parent / "programs"
+ERRORS = Path(__file__).parent / "errors"
 
 
 def _prni(f: str) -> list[str]:
@@ -39,6 +44,10 @@ def _prni_seeds(f: str) -> list[list[str]]:
     ]
 
 
+def _errors(f: str) -> list[list[str]]:
+    return [["check", f], ["check", "--simple", f], ["check", "--json", f], ["prni", f, "--seed", "1", "--pairs", "25"]]
+
+
 # golden file name -> the argument lists built from a program path (None: one
 # run over the whole corpus)
 COMMANDS = {
@@ -48,18 +57,28 @@ COMMANDS = {
     "prni_programs.txt": lambda f: [_prni(f)],
     "prni_seeds.txt": _prni_seeds,
     "corpus.txt": None,
+    "errors.txt": _errors,
 }
 
 # golden file name -> the directories whose programs it runs, where that is
 # not the shipped corpus
-PROGRAM_DIRS = {"prni_programs.txt": [PROGRAMS], "prni_seeds.txt": [corpus_dir(), PROGRAMS]}
+PROGRAM_DIRS = {
+    "prni_programs.txt": [PROGRAMS],
+    "prni_seeds.txt": [corpus_dir(), PROGRAMS],
+    "errors.txt": [ERRORS],
+}
+
+# golden file name -> one more run, over its whole directory, after the runs
+# per program; these files also record stderr
+DIR_RUNS = {"errors.txt": ["corpus", "--json", "--seed", "1", "--pairs", "25", str(ERRORS)]}
 
 
-def _run(args: list[str]) -> str:
+def _run(args: list[str], stderr: bool = False) -> str:
     res = CliRunner().invoke(main, args)
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         raise res.exception
-    return f"== {' '.join(Path(a).name for a in args)} -> exit {res.exit_code}\n{res.stdout}"
+    err = f"-- stderr\n{res.stderr}" if stderr and res.stderr else ""
+    return f"== {' '.join(Path(a).name for a in args)} -> exit {res.exit_code}\n{res.stdout}{err}"
 
 
 def render(name: str) -> str:
@@ -68,7 +87,9 @@ def render(name: str) -> str:
         return _run(["corpus", "--json", "--seed", "42", "--pairs", "25"])
     dirs = PROGRAM_DIRS.get(name) or [corpus_dir()]
     programs = [p for d in dirs for p in sorted(d.glob("*.gobsec"))]
-    return "".join(_run(args) for p in programs for args in build(str(p)))
+    stderr = name in DIR_RUNS
+    out = "".join(_run(args, stderr) for p in programs for args in build(str(p)))
+    return out + (_run(DIR_RUNS[name], stderr) if stderr else "")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -101,5 +122,5 @@ def test_prni_output_does_not_depend_on_earlier_fresh_names(path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in COMMANDS:
+    for name in sys.argv[1:] or COMMANDS:
         (GOLDEN / name).write_text(render(name), encoding="utf-8")
