@@ -1,6 +1,21 @@
 """Command-line front door: check, run, and differentially test GObSec
 programs, plus a corpus runner for expectation-annotated files.
 
+`check`, `prni` and the corpus runner run one pipeline. Its phases, each
+written once, run in this order, and the first that fails stops the run:
+
+    parse            exit 2
+    well-formedness  exit 2 on an error in the environments
+    security typing  exit 1: the body's type is synthesized once, then
+                     checked at `expect ... at` by TSub (`check --simple`
+                     types it simply instead; `prni` skips this phase)
+    observation and  exit 2: the type is --observe, else `expect ... at`,
+    PRNI             else the synthesized type; then the --k guard and
+                     `prni_test`, which requires simple typing
+
+A corpus file that stops passes only if it is `illtyped` and typing or
+well-formedness stopped it; any failed file makes `corpus` exit 1.
+
 Exit codes are a stable contract:
 
     0  success (well-typed / value / no counterexample / corpus passed)
@@ -23,7 +38,8 @@ from pathlib import Path
 
 import click
 
-from .interp import DEFAULT_FUEL, Timeout, Value, bind, evaluate
+from .algebra import sectype_equiv
+from .interp import DEFAULT_FUEL, Timeout, Value, bind, erase_surface, evaluate
 from .parser import (
     ParseError,
     SourceProgram,
@@ -33,8 +49,9 @@ from .parser import (
     pretty_print,
 )
 from .prni import Counterexample, NoCounterexample, PrniConfig, default_pool, prni_test, substitutions, verdict_to_json
-from .syntax import GobsecError, ObjType, is_value, subst_type_vars
-from .typecheck import TypeError_, sec_check, sec_synth, simple_synth
+from .subtyping import simple_sub_type
+from .syntax import Faceted, GobsecError, ObjType, is_value, subst_type_vars
+from .typecheck import Diagnostic, TypeError_, sec_synth, simple_synth, subsume
 from .wellformed import WfIssue, wf_term_env, wf_tvar_env
 
 EXIT_OK = 0
@@ -70,16 +87,106 @@ def main() -> None:
     """Typecheck, run, and differentially test GObSec programs."""
 
 
-def _load(path: str) -> SourceProgram:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_program(text)
+class _Stop(Exception):
+    """A phase failed, and the run stops there. `message` is the one-line
+    reason a corpus result gives; `text` is what `check` and `prni` print
+    (the message unless it says more); `payload` is what `check --json`
+    prints, and its status ("error" or "type-error") picks exit 2 or 1."""
+
+    def __init__(self, message: str, text: str | None = None, payload: dict | None = None):
+        super().__init__(message)
+        self.message = message
+        self.text = message if text is None else text
+        self.payload = payload
 
 
-def _wf_envs(prog: SourceProgram) -> list[WfIssue]:
+def _rejected(message: str, diags: list[Diagnostic]) -> _Stop:
+    payload = {"status": "type-error", "diagnostics": [d.to_dict() for d in diags]}
+    return _Stop(message, "\n".join(d.render() for d in diags), payload)
+
+
+def _load(path: str | Path) -> SourceProgram:
+    """Parse: a parse error stops the run."""
+    try:
+        return parse_program(Path(path).read_text(encoding="utf-8"))
+    except ParseError as ex:
+        raise _Stop(f"parse error: {ex}", payload={"status": "error", "error": str(ex)}) from None
+
+
+def _wf(prog: SourceProgram, echo: bool = False) -> None:
+    """Well-formedness of the environments: an error stops the run. With
+    `echo`, every issue (warnings too) goes to stderr, and the stop's text
+    says only that the environment is ill-formed."""
     issues: list[WfIssue] = []
     wf_tvar_env(prog.tvars, issues)
     wf_term_env(prog.tvars, prog.vars, issues)
-    return issues
+    for i in issues if echo else ():
+        click.echo(str(i), err=True)
+    errors = [i for i in issues if i.severity == "error"]
+    if errors:
+        payload = {"status": "error", "diagnostics": [str(i) for i in issues]}
+        text = "environment is ill-formed" if echo else None
+        raise _Stop(f"ill-formed environment: {errors[0].message}", text, payload)
+
+
+def _simple_type(prog: SourceProgram):
+    """Simple typing, where no PRNI follows (`prni_test` does its own)."""
+    try:
+        return simple_synth(prog.vars, prog.body)
+    except TypeError_ as ex:
+        raise _rejected(f"not simply well-typed: {ex}", [ex.diag]) from None
+
+
+def _synth(prog: SourceProgram) -> Faceted:
+    """Security typing, first half: the body's type, synthesized once."""
+    try:
+        return sec_synth(prog.tvars, prog.vars, prog.body)
+    except TypeError_ as ex:
+        raise _rejected(str(ex), [ex.diag]) from None
+
+
+def _subsume(prog: SourceProgram, got: Faceted) -> Faceted:
+    """Security typing, second half: the synthesized type `got` checked at
+    `expect ... at`, where there is one."""
+    at = prog.expect.at if prog.expect else None
+    diags = subsume(prog.tvars, prog.body, got, at) if at is not None else []
+    if diags:
+        raise _rejected(diags[0].message, diags)
+    return got
+
+
+def _prni(
+    prog: SourceProgram, config: PrniConfig, observe: str | None = None, got: Faceted | None = None
+) -> Counterexample | NoCounterexample:
+    """Observation and PRNI: test at `observe` (a --observe type), else at
+    `expect ... at`, else at the synthesized type `got` (synthesized here
+    when not given). The harness's own errors stop the run."""
+    try:
+        if observe is not None:
+            at = parse_sectype(observe, prog.aliases, list(prog.tvars))
+        elif prog.expect and prog.expect.at is not None:
+            at = prog.expect.at
+        elif got is not None:
+            at = got
+        else:
+            try:
+                at = _synth(prog)
+            except _Stop:
+                simple_synth(prog.vars, prog.body)  # says why, if that is why
+                raise _Stop("body has no synthesizable security type; pass --observe") from None
+        # The facet as the harness sees it: under each substitution it can draw.
+        if config.k < 2 and any(
+            isinstance(subst_type_vars(at.decl, sigma), ObjType)
+            for sigma in substitutions(prog.tvars, default_pool(prog))
+        ):
+            raise _Stop("--k 1 relates every pair at an object observation type; use --k 2 or more")
+        return prni_test(prog, at, config)
+    except ParseError as ex:  # only --observe is parsed here
+        raise _Stop(f"bad --observe: {ex}") from None
+    except TypeError_ as ex:  # from simple typing, which `prni_test` requires
+        raise _Stop(f"not simply well-typed: {ex}", f"program is not simply well-typed: {ex}") from None
+    except GobsecError as ex:
+        raise _Stop(str(ex)) from None
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -97,45 +204,12 @@ def cmd_check(file: str, simple_only: bool, as_json: bool) -> None:
     """Typecheck FILE; print the synthesized type of its body."""
     try:
         prog = _load(file)
-    except ParseError as ex:
-        _emit({"status": "error", "error": str(ex)}, as_json, f"parse error: {ex}")
-        sys.exit(EXIT_BAD_INPUT)
-    issues = _wf_envs(prog)
-    errors = [i for i in issues if i.severity == "error"]
-    for i in issues:
-        if not as_json:
-            click.echo(str(i), err=True)
-    if errors:
-        _emit(
-            {"status": "error", "diagnostics": [str(i) for i in issues]},
-            as_json,
-            "environment is ill-formed",
-        )
-        sys.exit(EXIT_BAD_INPUT)
-    if simple_only:
-        try:
-            t = simple_synth(prog.vars, prog.body)
-        except TypeError_ as ex:
-            _emit({"status": "type-error", "diagnostics": [ex.diag.to_dict()]}, as_json, ex.diag.render())
-            sys.exit(EXIT_TYPE_ERROR)
-        _emit({"status": "ok", "type": pretty_print(t)}, as_json, pretty_print(t))
-        sys.exit(EXIT_OK)
-    target = prog.expect.at if prog.expect and prog.expect.at else None
-    try:
-        synthesized = sec_synth(prog.tvars, prog.vars, prog.body)
-    except TypeError_ as ex:
-        _emit({"status": "type-error", "diagnostics": [ex.diag.to_dict()]}, as_json, ex.diag.render())
-        sys.exit(EXIT_TYPE_ERROR)
-    if target is not None:
-        ok, diags = sec_check(prog.tvars, prog.vars, prog.body, target)
-        if not ok:
-            _emit(
-                {"status": "type-error", "diagnostics": [d.to_dict() for d in diags]},
-                as_json,
-                "\n".join(d.render() for d in diags),
-            )
-            sys.exit(EXIT_TYPE_ERROR)
-    _emit({"status": "ok", "type": pretty_print(synthesized)}, as_json, pretty_print(synthesized))
+        _wf(prog, echo=not as_json)
+        t = _simple_type(prog) if simple_only else _subsume(prog, _synth(prog))
+    except _Stop as stop:
+        _emit(stop.payload, as_json, stop.text)
+        sys.exit(EXIT_BAD_INPUT if stop.payload["status"] == "error" else EXIT_TYPE_ERROR)
+    _emit({"status": "ok", "type": pretty_print(t)}, as_json, pretty_print(t))
     sys.exit(EXIT_OK)
 
 
@@ -148,49 +222,35 @@ def cmd_run(file: str, inputs: tuple[str, ...], fuel: int, as_json: bool) -> Non
     """Evaluate FILE's body with --input values bound to its variables."""
     try:
         prog = _load(file)
-    except ParseError as ex:
-        _emit({"outcome": "error", "error": str(ex)}, as_json, f"parse error: {ex}")
+        bindings = {}
+        for item in inputs:
+            if "=" not in item:
+                raise _Stop(f"bad --input {item!r}")
+            name, text = item.split("=", 1)
+            try:
+                bindings[name.strip()] = parse_expr(text, prog.aliases, list(prog.tvars))
+            except ParseError as ex:
+                raise _Stop(f"bad --input {name}: {ex}", payload={"error": str(ex)}) from None
+        missing = sorted(set(prog.vars) - set(bindings))
+        if missing:
+            raise _Stop(f"missing --input for {', '.join(missing)}")
+        for name, value in bindings.items():
+            if name not in prog.vars:
+                raise _Stop(f"--input {name} is not declared")
+            value = erase_surface(value)
+            if not is_value(value):
+                raise _Stop(f"--input {name} is not a value")
+            try:
+                got = simple_synth({}, value)
+            except TypeError_ as ex:
+                raise _Stop(f"--input {name}: {ex}") from None
+            if not simple_sub_type(got, prog.vars[name].safety):
+                raise _Stop(f"--input {name} does not typecheck at {pretty_print(prog.vars[name].safety)}")
+            bindings[name] = value
+    except _Stop as stop:
+        error = stop.payload["error"] if stop.payload else stop.message
+        _emit({"outcome": "error", "error": error}, as_json, stop.text)
         sys.exit(EXIT_BAD_INPUT)
-    bindings = {}
-    for item in inputs:
-        if "=" not in item:
-            _emit({"outcome": "error", "error": f"bad --input {item!r}"}, as_json, f"bad --input {item!r}")
-            sys.exit(EXIT_BAD_INPUT)
-        name, text = item.split("=", 1)
-        try:
-            value = parse_expr(text, prog.aliases, list(prog.tvars))
-        except ParseError as ex:
-            _emit({"outcome": "error", "error": str(ex)}, as_json, f"bad --input {name}: {ex}")
-            sys.exit(EXIT_BAD_INPUT)
-        bindings[name.strip()] = value
-    missing = sorted(set(prog.vars) - set(bindings))
-    if missing:
-        msg = f"missing --input for {', '.join(missing)}"
-        _emit({"outcome": "error", "error": msg}, as_json, msg)
-        sys.exit(EXIT_BAD_INPUT)
-    from .interp import erase_surface
-    from .subtyping import simple_sub_type
-
-    for name, value in bindings.items():
-        if name not in prog.vars:
-            msg = f"--input {name} is not declared"
-            _emit({"outcome": "error", "error": msg}, as_json, msg)
-            sys.exit(EXIT_BAD_INPUT)
-        value = erase_surface(value)
-        if not is_value(value):
-            msg = f"--input {name} is not a value"
-            _emit({"outcome": "error", "error": msg}, as_json, msg)
-            sys.exit(EXIT_BAD_INPUT)
-        try:
-            got = simple_synth({}, value)
-        except TypeError_ as ex:
-            _emit({"outcome": "error", "error": f"--input {name}: {ex}"}, as_json, f"--input {name}: {ex}")
-            sys.exit(EXIT_BAD_INPUT)
-        if not simple_sub_type(got, prog.vars[name].safety):
-            msg = f"--input {name} does not typecheck at {pretty_print(prog.vars[name].safety)}"
-            _emit({"outcome": "error", "error": msg}, as_json, msg)
-            sys.exit(EXIT_BAD_INPUT)
-        bindings[name] = value
     out = evaluate(prog.body, fuel, bind(bindings))
     if isinstance(out, Value):
         _emit(
@@ -247,44 +307,10 @@ def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fu
         sys.exit(EXIT_BAD_INPUT)
     try:
         prog = _load(file)
-    except ParseError as ex:
-        click.echo(f"parse error: {ex}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    issues = [i for i in _wf_envs(prog) if i.severity == "error"]
-    if issues:
-        click.echo(f"ill-formed environment: {issues[0].message}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    try:
-        simple_synth(prog.vars, prog.body)
-    except TypeError_ as ex:
-        click.echo(f"program is not simply well-typed: {ex}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    if observe is not None:
-        try:
-            observe_at = parse_sectype(observe, prog.aliases, list(prog.tvars))
-        except ParseError as ex:
-            click.echo(f"bad --observe: {ex}", err=True)
-            sys.exit(EXIT_BAD_INPUT)
-    elif prog.expect and prog.expect.at is not None:
-        observe_at = prog.expect.at
-    else:
-        try:
-            observe_at = sec_synth(prog.tvars, prog.vars, prog.body)
-        except TypeError_:
-            click.echo("body has no synthesizable security type; pass --observe", err=True)
-            sys.exit(EXIT_BAD_INPUT)
-    # The facet as the harness sees it: under each substitution it can draw.
-    if k < 2 and any(
-        isinstance(subst_type_vars(observe_at.decl, sigma), ObjType)
-        for sigma in substitutions(prog.tvars, default_pool(prog))
-    ):
-        click.echo("--k 1 relates every pair at an object observation type; use --k 2 or more", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    config = PrniConfig(pairs=pairs, substs=substs, k=k, fuel=fuel, seed=seed)
-    try:
-        verdict = prni_test(prog, observe_at, config)
-    except GobsecError as ex:
-        click.echo(str(ex), err=True)
+        _wf(prog)
+        verdict = _prni(prog, PrniConfig(pairs=pairs, substs=substs, k=k, fuel=fuel, seed=seed), observe)
+    except _Stop as stop:
+        click.echo(stop.text, err=True)
         sys.exit(EXIT_BAD_INPUT)
     if as_json:
         click.echo(verdict_to_json(verdict))
@@ -312,74 +338,53 @@ class CorpusResult:
 
 def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int = 1000) -> CorpusResult:
     """Evaluate one corpus file against its `expect` annotation."""
-    name = path.name
+    name, kind = path.name, "?"
     try:
-        prog = parse_program(path.read_text(encoding="utf-8"))
-    except ParseError as ex:
-        return CorpusResult(name, "?", False, f"parse error: {ex}")
-    if prog.expect is None or prog.expect.kind is None:
-        return CorpusResult(name, "?", False, "missing expect annotation")
-    kind = prog.expect.kind
-    issues = [i for i in _wf_envs(prog) if i.severity == "error"]
-    if issues:
-        ok = kind == "illtyped"
-        return CorpusResult(name, kind, ok, f"ill-formed environment: {issues[0].message}")
-    target = prog.expect.at
+        prog = _load(path)
+        expect = prog.expect
+        if expect is None or expect.kind is None:
+            return CorpusResult(name, kind, False, "missing expect annotation")
+        kind = expect.kind
+        _wf(prog)
+    except _Stop as stop:
+        return CorpusResult(name, kind, kind == "illtyped", stop.message)
+    got = rejected = None
     try:
-        synthesized = sec_synth(prog.tvars, prog.vars, prog.body)
-    except TypeError_ as ex:
-        synthesized = None
-        synth_error = str(ex)
-    else:
-        synth_error = None
-    if prog.expect.exact is not None:
-        from .algebra import sectype_equiv
-
-        if synthesized is None or not sectype_equiv(synthesized, prog.expect.exact):
-            got = pretty_print(synthesized) if synthesized is not None else synth_error
-            return CorpusResult(name, kind, False, f"expected exact type {pretty_print(prog.expect.exact)}, got {got}")
-    if target is not None and synthesized is not None:
-        checked, diags = sec_check(prog.tvars, prog.vars, prog.body, target)
-    elif synthesized is not None:
-        checked, diags = True, []
-    else:
-        checked, diags = False, []
+        got = _synth(prog)
+        _subsume(prog, got)
+    except _Stop as stop:
+        rejected = stop.message
+    if expect.exact is not None and (got is None or not sectype_equiv(got, expect.exact)):
+        shown = rejected if got is None else pretty_print(got)
+        return CorpusResult(name, kind, False, f"expected exact type {pretty_print(expect.exact)}, got {shown}")
     if kind == "illtyped":
-        if checked:
+        if rejected is None:
             return CorpusResult(name, kind, False, "expected a type error, but the program checks")
-        detail = diags[0].message if diags else (synth_error or "rejected")
-        return CorpusResult(name, kind, True, detail)
-    if kind == "secure":
-        if not checked:
-            detail = diags[0].message if diags else (synth_error or "type error")
-            return CorpusResult(name, kind, False, f"expected well-typed: {detail}")
-        if typing_only:
-            return CorpusResult(name, kind, True, f"checks at {pretty_print(target or synthesized)}")
-        observe = target if target is not None else synthesized
-        verdict = prni_test(prog, observe, PrniConfig(pairs=pairs, seed=seed))
-        if isinstance(verdict, Counterexample):
-            return CorpusResult(name, kind, False, f"unexpected counterexample at trial {verdict.trial}")
-        return CorpusResult(
-            name, kind, True, f"checks; no counterexample in {verdict.pairs_tested} pairs ({verdict.compared} compared)"
-        )
+        return CorpusResult(name, kind, True, rejected)
+    if kind == "secure" and rejected is not None:
+        return CorpusResult(name, kind, False, f"expected well-typed: {rejected}")
     if kind == "insecure":
-        if target is None:
+        if expect.at is None:
             return CorpusResult(name, kind, False, "insecure expectation needs `at SECTYPE`")
-        if checked:
+        if rejected is None:
             return CorpusResult(name, kind, False, "expected rejection, but the program checks")
-        try:
-            simple_synth(prog.vars, prog.body)
-        except TypeError_ as ex:
-            return CorpusResult(name, kind, False, f"not simply well-typed: {ex}")
+    if typing_only and kind == "secure":
+        return CorpusResult(name, kind, True, f"checks at {pretty_print(expect.at or got)}")
+    try:
         if typing_only:
+            _simple_type(prog)
             return CorpusResult(name, kind, True, "rejected by the checker (differential test skipped)")
-        verdict = prni_test(prog, target, PrniConfig(pairs=pairs, seed=seed))
-        if isinstance(verdict, NoCounterexample):
-            return CorpusResult(
-                name, kind, False, f"no counterexample found in {verdict.pairs_tested} pairs ({verdict.compared} compared)"
-            )
-        return CorpusResult(name, kind, True, f"counterexample at trial {verdict.trial}")
-    return CorpusResult(name, kind, False, f"unknown expectation {kind}")
+        verdict = _prni(prog, PrniConfig(pairs=pairs, seed=seed), got=got)
+    except _Stop as stop:
+        return CorpusResult(name, kind, False, stop.message)
+    secure = kind == "secure"
+    if isinstance(verdict, Counterexample):
+        found = f"counterexample at trial {verdict.trial}"
+        return CorpusResult(name, kind, not secure, f"unexpected {found}" if secure else found)
+    tested = f"{verdict.pairs_tested} pairs ({verdict.compared} compared)"
+    if secure:
+        return CorpusResult(name, kind, True, f"checks; no counterexample in {tested}")
+    return CorpusResult(name, kind, False, f"no counterexample found in {tested}")
 
 
 @main.command("corpus")
@@ -396,25 +401,11 @@ def cmd_corpus(directory: str | None, seed: int | None, typing_only: bool, pairs
         seed = 42
     root = Path(directory) if directory else corpus_dir()
     results = [run_corpus_file(p, seed, typing_only, pairs) for p in sorted(root.glob("*.gobsec"))]
-    failed = [r for r in results if not r.passed]
-    if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "results": [r.to_dict() for r in results],
-                    "passed": len(results) - len(failed),
-                    "failed": len(failed),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    else:
-        width = max((len(r.file) for r in results), default=4)
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            click.echo(f"{mark}  {r.file:<{width}}  [{r.expect}] {r.detail}")
-        click.echo(f"{len(results) - len(failed)}/{len(results)} passed")
+    failed = sum(not r.passed for r in results)
+    width = max((len(r.file) for r in results), default=4)
+    rows = [f"{'PASS' if r.passed else 'FAIL'}  {r.file:<{width}}  [{r.expect}] {r.detail}" for r in results]
+    payload = {"results": [r.to_dict() for r in results], "passed": len(results) - failed, "failed": failed}
+    _emit(payload, as_json, "\n".join([*rows, f"{len(results) - failed}/{len(results)} passed"]))
     sys.exit(EXIT_OK if not failed else EXIT_TYPE_ERROR)
 
 

@@ -116,27 +116,23 @@ def sec_check(
     delta: TypeVarEnv, gamma: TermEnv, e: Expr, expected: Faceted
 ) -> tuple[bool, list[Diagnostic]]:
     """Synthesize then check against `expected` by subsumption."""
-    diags: list[Diagnostic] = []
+    try:
+        diags = subsume(delta, e, sec_synth(delta, gamma, e), expected)
+    except TypeError_ as ex:
+        diags = [ex.diag]
+    return not diags, diags
+
+
+def subsume(delta: TypeVarEnv, e: Expr, got: Faceted, expected: Faceted) -> list[Diagnostic]:
+    """The errors, if any, that keep `e`, synthesized at `got`, from
+    checking at `expected`: `expected` ill-formed, or TSub failing."""
     wf: list[WfIssue] = []
     if not wf_sectype(delta, expected, wf):
-        diags.extend(Diagnostic("error", "WF", str(i)) for i in wf)
-        return False, diags
-    try:
-        got = sec_synth(delta, gamma, e)
-    except TypeError_ as ex:
-        diags.append(ex.diag)
-        return False, diags
+        return [Diagnostic("error", "WF", str(i)) for i in wf]
     if sub_sectype(delta, EMPTY_SIGMA, got, expected):
-        return True, diags
-    diags.append(
-        Diagnostic(
-            "error",
-            "TSub",
-            f"synthesized type {_show(got)} is not a subtype of {_show(expected)}",
-            _span(e),
-        )
-    )
-    return False, diags
+        return []
+    message = f"synthesized type {_show(got)} is not a subtype of {_show(expected)}"
+    return [Diagnostic("error", "TSub", message, _span(e))]
 
 
 def _span(e: Expr) -> Span:

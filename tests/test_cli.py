@@ -1,12 +1,14 @@
 """The command-line interface: exit codes, JSON output, corpus runner."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from gobsec.cli import corpus_dir, main
+from gobsec import cli, typecheck
+from gobsec.cli import corpus_dir, main, run_corpus_file
 
 LOGIN = """
 type StringEq = Obj(a)[ eq : String! -> Bool! ]
@@ -252,6 +254,19 @@ class TestCorpusCommand:
         [result] = json.loads(res.output)["results"]
         assert result["detail"] == "no counterexample found in 1 pairs (1 compared)"
 
+    @pytest.mark.parametrize("expect", ["insecure at String<StringFst>", "secure"])
+    def test_harness_error_is_a_failed_result(self, runner, tmp_path, expect):
+        # No type lies within X's bounds, so the harness cannot instantiate
+        # the program: the file fails with its message, not a traceback.
+        text = (Path(__file__).parent / "errors" / "empty_interval.gobsec").read_text()
+        (tmp_path / "empty.gobsec").write_text(text.replace("insecure at String<StringFst>", expect))
+        res = runner.invoke(main, ["corpus", str(tmp_path), "--seed", "1", "--json"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 1
+        [result] = json.loads(res.output)["results"]
+        assert result["detail"] == "no candidate type lies within the bounds of X"
+        assert not result["passed"]
+
     def test_test_programs_meet_their_expectations(self, runner):
         # Object- and list-input programs kept out of the shipped corpus.
         programs = Path(__file__).parent / "programs"
@@ -259,6 +274,62 @@ class TestCorpusCommand:
         assert res.exit_code == 0, res.output
         payload = json.loads(res.output)
         assert (payload["passed"], payload["failed"]) == (5, 0)
+
+
+@pytest.fixture
+def body_typings(monkeypatch):
+    """Counts the `sec_synth` and `simple_synth` calls whose term is the body
+    of a program the CLI parsed; calls on its sub-terms are not counted."""
+    bodies, calls = [], Counter()
+    parse = cli.parse_program
+
+    def parse_and_remember(text):
+        prog = parse(text)
+        bodies.append(prog.body)
+        return prog
+
+    monkeypatch.setattr(cli, "parse_program", parse_and_remember)
+    for name in ("sec_synth", "simple_synth"):
+        real = getattr(typecheck, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += any(args[-1] is body for body in bodies)
+            return _real(*args)
+
+        for module in (cli, typecheck):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestEachPhaseRunsOnce:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "login.gobsec"],
+            ["check", "leak_high.gobsec"],
+            ["prni", "login.gobsec", "--seed", "1", "--pairs", "5"],
+            ["prni", "list_cons.gobsec", "--seed", "1", "--pairs", "5"],
+            ["prni", "leak_high.gobsec", "--seed", "1", "--pairs", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_command(self, runner, body_typings, args):
+        res = runner.invoke(main, [args[0], str(corpus_dir() / args[1]), *args[2:]])
+        assert res.exit_code in (0, 1, 5), res.output
+        assert body_typings["sec_synth"] <= 1 and body_typings["simple_synth"] <= 1, body_typings
+
+    def test_check_simple_runs_no_security_typing(self, runner, body_typings):
+        res = runner.invoke(main, ["check", "--simple", str(corpus_dir() / "login.gobsec")])
+        assert res.exit_code == 0
+        assert body_typings == {"simple_synth": 1}
+
+    @pytest.mark.parametrize("name", ["login.gobsec", "leak_high.gobsec", "login_leak.gobsec"])
+    @pytest.mark.parametrize("typing_only", [False, True])
+    def test_corpus_file(self, body_typings, name, typing_only):
+        result = run_corpus_file(corpus_dir() / name, 1, typing_only, 5)
+        assert result.passed, result
+        assert body_typings["sec_synth"] == 1 and body_typings["simple_synth"] <= 1, body_typings
 
 
 @pytest.mark.parametrize(
