@@ -89,9 +89,10 @@ def main() -> None:
 
 class _Stop(Exception):
     """A phase failed, and the run stops there. `message` is the one-line
-    reason a corpus result gives; `text` is what `check` and `prni` print
-    (the message unless it says more); `payload` is what `check --json`
-    prints, and its status ("error" or "type-error") picks exit 2 or 1."""
+    reason (a corpus result's detail, the error `run --json` prints); `text`
+    is what a command prints without --json (the message unless it says
+    more); `payload` is what `check --json` prints, and its status ("error"
+    or "type-error") picks exit 2 or 1."""
 
     def __init__(self, message: str, text: str | None = None, payload: dict | None = None):
         super().__init__(message)
@@ -163,7 +164,10 @@ def _prni(
     when not given). The harness's own errors stop the run."""
     try:
         if observe is not None:
-            at = parse_sectype(observe, prog.aliases, list(prog.tvars))
+            try:
+                at = parse_sectype(observe, prog.aliases, list(prog.tvars))
+            except ParseError as ex:
+                raise _Stop(f"bad --observe: {ex}") from None
         elif prog.expect and prog.expect.at is not None:
             at = prog.expect.at
         elif got is not None:
@@ -172,7 +176,7 @@ def _prni(
             try:
                 at = _synth(prog)
             except _Stop:
-                simple_synth(prog.vars, prog.body)  # says why, if that is why
+                simple_synth(prog.vars, prog.body)  # a simple type error says more
                 raise _Stop("body has no synthesizable security type; pass --observe") from None
         # The facet as the harness sees it: under each substitution it can draw.
         if config.k < 2 and any(
@@ -181,8 +185,6 @@ def _prni(
         ):
             raise _Stop("--k 1 relates every pair at an object observation type; use --k 2 or more")
         return prni_test(prog, at, config)
-    except ParseError as ex:  # only --observe is parsed here
-        raise _Stop(f"bad --observe: {ex}") from None
     except TypeError_ as ex:  # from simple typing, which `prni_test` requires
         raise _Stop(f"not simply well-typed: {ex}", f"program is not simply well-typed: {ex}") from None
     except GobsecError as ex:
@@ -230,7 +232,7 @@ def cmd_run(file: str, inputs: tuple[str, ...], fuel: int, as_json: bool) -> Non
             try:
                 bindings[name.strip()] = parse_expr(text, prog.aliases, list(prog.tvars))
             except ParseError as ex:
-                raise _Stop(f"bad --input {name}: {ex}", payload={"error": str(ex)}) from None
+                raise _Stop(str(ex), f"bad --input {name}: {ex}") from None
         missing = sorted(set(prog.vars) - set(bindings))
         if missing:
             raise _Stop(f"missing --input for {', '.join(missing)}")
