@@ -13,9 +13,8 @@ means to alter them rewrites the files with
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
