@@ -4,6 +4,9 @@ Equivalence of recursive object types is decided coinductively: pairs of
 object types under comparison are assumed equal when revisited, and their
 signatures are compared after closing each record over its own type. This
 identifies a type with its unfolding and is insensitive to binder names.
+The closed record is an object type's unfolding, built once and cached on
+the node (see `unfold`), so revisits compare the same signatures, whose
+canonical keys are cached too.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ def type_equiv(t1: DeclType, t2: DeclType) -> bool:
     """Equal infinite unfoldings, up to binder renaming.
 
     Generic variables and free self variables compare by name; primitives
-    by kind. Object types are compared as the bisimulation over their
+    by kind. Alpha-equal object types (equal canonical keys) are equal at
+    once; other object types are compared as the bisimulation over their
     self-closed signatures with assume-equal-on-revisit.
     """
     return _equiv(t1, t2, frozenset())
@@ -124,16 +128,14 @@ def _equiv(t1, t2, assumed: frozenset) -> bool:
         return t1.name == t2.name
     if isinstance(t1, ObjType) and isinstance(t2, ObjType):
         key = (canon(t1), canon(t2))
-        if key in assumed:
-            return True
+        if key[0] == key[1] or key in assumed:
+            return True  # alpha-equal, or assumed equal on a revisit
         if set(t1.method_names()) != set(t2.method_names()):
             return False
         assumed = assumed | {key}
-        for name, sig1 in t1.methods:
-            sig2 = t2.sig(name)
-            c1 = subst_self_var(sig1, t1, t1.self_var)
-            c2 = subst_self_var(sig2, t2, t2.self_var)
-            if not _equiv_sig(c1, c2, assumed):
+        closed2 = unfold(t2)
+        for name, c1 in unfold(t1).methods:
+            if not _equiv_sig(c1, closed2.sig(name), assumed):
                 return False
         return True
     return False
@@ -197,11 +199,19 @@ def sectype_equiv(s1: Faceted, s2: Faceted) -> bool:
 def unfold(t: DeclType) -> Type:
     """One-level unfolding: substitute an object type for its own self
     variable in its record. Primitives (and the empty interface) unfold to
-    themselves."""
+    themselves. An object type's unfolding is built once and stored on the
+    node, like its canonical key; its record is the node's closed record,
+    the signatures that `type_equiv` and `msig` read."""
     if isinstance(t, Prim):
         return t
     if isinstance(t, ObjType):
-        return ObjType(t.self_var, tuple((m, subst_self_var(s, t, t.self_var)) for m, s in t.methods))
+        memo = t.__dict__
+        out = memo.get("_unfold")
+        if out is None:
+            out = memo["_unfold"] = ObjType(
+                t.self_var, tuple((m, subst_self_var(s, t, t.self_var)) for m, s in t.methods)
+            )
+        return out
     if isinstance(t, TypeVar):
         raise UnfoldOfVariable(f"cannot unfold generic variable {t.name}")
     raise NotClosed(f"cannot unfold free self variable {t.name}")
@@ -244,16 +254,17 @@ def has_method(delta: TypeVarEnv, u: DeclType, m: str) -> bool:
 
 
 def msig(delta: TypeVarEnv, u: DeclType, m: str) -> MethodSig:
-    """The closed signature of `m` in `u`: object-type signatures have the
-    self variable replaced by the object type itself; primitive kinds use
-    the primitive interface table; variables look up in their upper bound.
+    """The closed signature of `m` in `u`: an object type's signature is
+    read from its unfolding (built once per node), where the self variable
+    is replaced by the object type itself; primitive kinds use the
+    primitive interface table; variables look up in their upper bound.
     """
     t = upper_bound(delta, u)
     if isinstance(t, ObjType):
-        sig = t.sig(m)
+        sig = unfold(t).sig(m)
         if sig is None:
             raise NoSuchMethod(f"{m} not in object type")
-        return subst_self_var(sig, t, t.self_var)
+        return sig
     if isinstance(t, Prim):
         sig = prim_sig(t.kind, m)
         if sig is None:

@@ -9,9 +9,10 @@ written once, run in this order, and the first that fails stops the run:
     security typing  exit 1: the body's type is synthesized once, then
                      checked at `expect ... at` by TSub (`check --simple`
                      types it simply instead; `prni` skips this phase)
-    observation and  exit 2: the type is --observe, else `expect ... at`,
-    PRNI             else the synthesized type; then the --k guard and
-                     `prni_test`, which requires simple typing
+    observation and  exit 2: the type is --observe, else `expect ... at`
+    PRNI             (either must be well formed), else the synthesized
+                     type; then the --k guard and `prni_test`, which
+                     requires simple typing
 
 A corpus file that stops passes only if it is `illtyped` and typing or
 well-formedness stopped it; any failed file makes `corpus` exit 1.
@@ -52,7 +53,7 @@ from .prni import Counterexample, NoCounterexample, PrniConfig, default_pool, pr
 from .subtyping import simple_sub_type
 from .syntax import Faceted, GobsecError, ObjType, is_value, subst_type_vars
 from .typecheck import Diagnostic, TypeError_, sec_synth, simple_synth, subsume
-from .wellformed import WfIssue, wf_term_env, wf_tvar_env
+from .wellformed import WfIssue, wf_sectype, wf_term_env, wf_tvar_env
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -156,6 +157,15 @@ def _subsume(prog: SourceProgram, got: Faceted) -> Faceted:
     return got
 
 
+def _well_formed(prog: SourceProgram, at: Faceted) -> Faceted:
+    """A given observation type, which must be well formed under the
+    program's type variables: an ill-formed one stops the run."""
+    issues: list[WfIssue] = []
+    if not wf_sectype(prog.tvars, at, issues):
+        raise _Stop(f"ill-formed observation type: {issues[0].message}")
+    return at
+
+
 def _prni(
     prog: SourceProgram, config: PrniConfig, observe: str | None = None, got: Faceted | None = None
 ) -> Counterexample | NoCounterexample:
@@ -165,11 +175,11 @@ def _prni(
     try:
         if observe is not None:
             try:
-                at = parse_sectype(observe, prog.aliases, list(prog.tvars))
+                at = _well_formed(prog, parse_sectype(observe, prog.aliases, list(prog.tvars)))
             except ParseError as ex:
                 raise _Stop(f"bad --observe: {ex}") from None
         elif prog.expect and prog.expect.at is not None:
-            at = prog.expect.at
+            at = _well_formed(prog, prog.expect.at)
         elif got is not None:
             at = got
         else:

@@ -119,15 +119,23 @@ def _erase(x):
     """Forget declassification: `T<U>` becomes `T<Top>` and signatures
     lose their type parameters, throughout the type. Parameters are first
     renamed by position, as `type_equiv` does, so alpha-equivalent
-    signatures erase alike."""
-    if isinstance(x, ObjType):
-        return ObjType(x.self_var, tuple((m, _erase(s)) for m, s in x.methods))
-    if isinstance(x, GenericSig):
-        x = rename_tparams(x, "%e")
-        return GenericSig((), tuple(_erase(a) for a in x.args), _erase(x.ret))
-    if isinstance(x, Faceted):
-        return Faceted(_erase(x.safety), TOP)
-    return x
+    signatures erase alike. The erasure of an object type, signature or
+    security type is built once and stored on the node, like its
+    canonical key."""
+    if not isinstance(x, (ObjType, GenericSig, Faceted)):
+        return x
+    memo = x.__dict__
+    out = memo.get("_erased")
+    if out is None:
+        if isinstance(x, ObjType):
+            out = ObjType(x.self_var, tuple((m, _erase(s)) for m, s in x.methods))
+        elif isinstance(x, GenericSig):
+            renamed = rename_tparams(x, "%e")
+            out = GenericSig((), tuple(_erase(a) for a in renamed.args), _erase(renamed.ret))
+        else:
+            out = Faceted(_erase(x.safety), TOP)
+        memo["_erased"] = out
+    return out
 
 
 def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set, depth: int) -> bool:

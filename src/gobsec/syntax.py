@@ -19,7 +19,9 @@ self names, object-type self variables, signature type parameters).
 
 Type nodes cache their canonical key (`canon`) and their free self and
 generic variables in the instance dictionary, outside the dataclass
-fields, so `==`, `hash` and `repr` never see the caches. One walker,
+fields, so `==`, `hash` and `repr` never see the caches; `algebra.unfold`
+and the erasure of `subtyping.simple_sub_type` store their answers there
+too. One walker,
 `_subst`, substitutes both kinds of type variable; it returns the
 subtrees in which no replaced variable is free as they are, caches
 included. The caches are only sound because nodes are immutable: a node

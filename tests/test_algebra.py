@@ -2,6 +2,7 @@
 interface machinery."""
 
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,8 @@ from gobsec.algebra import (
     unfold,
     upper_bound,
 )
-from gobsec.parser import parse_sectype
+from gobsec.cli import corpus_dir
+from gobsec.parser import parse_program, parse_sectype
 from gobsec.subtyping import sub_type
 from gobsec.syntax import (
     EMPTY_SIGMA,
@@ -35,6 +37,8 @@ from gobsec.syntax import (
     TypeVar,
     is_top,
     public,
+    rename_self_var,
+    subst_self_var,
 )
 
 from conftest import (
@@ -121,6 +125,54 @@ class TestUnfold:
     def test_variable_rejected(self):
         with pytest.raises(UnfoldOfVariable):
             unfold(TypeVar("X"))
+
+
+def _list_str_len() -> ObjType:
+    """`ListStrLen<X>`, the safety facet of `l1`, from its own parse of
+    the corpus file."""
+    text = (corpus_dir() / "list_concat_mixed.gobsec").read_text(encoding="utf-8")
+    return parse_program(text).vars["l1"].safety
+
+
+class TestPerTypeWork:
+    """An object type's closed record is built once, by its first
+    unfolding, and alpha-equal types are equal without unfolding."""
+
+    def test_alpha_equal_types_are_not_unfolded(self, monkeypatch):
+        t1, t2 = _list_str_len(), rename_self_var(_list_str_len(), "other")
+        assert t1 is not t2 and t1 != t2
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return subst_self_var(*args)
+
+        for m in [m for n, m in sys.modules.items() if n.startswith("gobsec.")]:
+            if getattr(m, "subst_self_var", None) is subst_self_var:
+                monkeypatch.setattr(m, "subst_self_var", counted)
+        assert type_equiv(t1, t2) and type_equiv(t2, t1)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [_list_str_len, lambda: parse_sectype("Obj(a)[ m : Unit! -> Obj(b)[ n : Unit! -> a! ]! ]!").safety],
+        ids=["ListStrLen<X>", "nested"],
+    )
+    def test_a_second_comparison_builds_no_object_type(self, monkeypatch, make):
+        t = make()
+        u = unfold(t)
+        assert type_equiv(t, u) and type_equiv(u, t)
+        built = []
+        post_init = ObjType.__post_init__
+
+        def counted_post_init(self_):
+            built.append(self_)
+            post_init(self_)
+
+        monkeypatch.setattr(ObjType, "__post_init__", counted_post_init)
+        assert type_equiv(t, u) and type_equiv(u, t)
+        assert built == []
+        assert unfold(t) is u
 
 
 class TestUpperBound:

@@ -179,6 +179,17 @@ class TestPrniCommand:
         assert res.stdout == ""
         assert res.stderr.startswith(f"ill-formed environment: {message}")
 
+    def test_ill_formed_observation_exit_2(self, runner):
+        # Int is not above String, so `String<Int>` relates no pair the
+        # program could leak through: testing at it would pass a leaky file.
+        leak_high = str(corpus_dir() / "leak_high.gobsec")
+        args = ["prni", leak_high, "--seed", "1", "--pairs", "25"]
+        res = runner.invoke(main, [*args, "--observe", "String<Int>"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "ill-formed observation type: declassification facet Int does not match safety facet String\n"
+        assert runner.invoke(main, [*args, "--observe", "String!"]).exit_code == 5
+
     def test_k_1_at_an_object_observation_exit_2(self, runner):
         # Method results are compared at k - 1 = 0, which relates everything.
         subject_fst = str(corpus_dir() / "subject_fst.gobsec")
@@ -266,6 +277,17 @@ class TestCorpusCommand:
         [result] = json.loads(res.output)["results"]
         assert result["detail"] == "no candidate type lies within the bounds of X"
         assert not result["passed"]
+
+    def test_ill_formed_at_is_a_failed_result(self, runner, tmp_path):
+        # Typing rejects the file for its ill-formed `at`; the differential
+        # test must not then run at that type as if it were a policy.
+        (tmp_path / "bad_at.gobsec").write_text("var h : String?\nexpect insecure at String<Int>\nh")
+        res = runner.invoke(main, ["corpus", str(tmp_path), "--seed", "1", "--json"])
+        assert res.exit_code == 1
+        [result] = json.loads(res.output)["results"]
+        assert result["detail"] == (
+            "ill-formed observation type: declassification facet Int does not match safety facet String"
+        )
 
     def test_test_programs_meet_their_expectations(self, runner):
         # Object- and list-input programs kept out of the shipped corpus.

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gobsec.algebra import unfold
+from gobsec.subtyping import _erase
 from gobsec.syntax import (
     TOP,
     Faceted,
@@ -295,15 +297,26 @@ def test_node_caches_are_invisible():
             assert first == (canon(twin), free_self_vars(twin))
             if isinstance(node, ObjType):
                 uncached = _fresh_copy(node)
-                for (_, s), (_, s_cold) in zip(node.methods, uncached.methods):
+                closed = []
+                for (m, s), (_, s_cold) in zip(node.methods, uncached.methods):
                     got = subst_self_var(s, node, node.self_var)
-                    assert canon(got) == canon(subst_self_var(s_cold, uncached, node.self_var))
-        # Every node of t now holds its caches; a fresh copy still compares,
-        # hashes and prints the same.
+                    closed.append((m, subst_self_var(s_cold, uncached, node.self_var)))
+                    assert canon(got) == canon(closed[-1][1])
+                # The unfolding and the erasure are cached on the node: read
+                # twice, each agrees with the answer built on an uncached
+                # copy (the unfolding by closing its record by hand).
+                assert canon(unfold(node)) == canon(ObjType(node.self_var, tuple(closed)))
+                assert unfold(node) is unfold(node)
+                assert canon(_erase(node)) == canon(_erase(uncached))
+                assert _erase(node) is _erase(node)
+        # Every node of t now holds its caches (its unfolding and erasure
+        # too); a fresh copy still compares, hashes and prints the same.
         uncached = _fresh_copy(t)
         assert t == uncached and uncached == t
         assert hash(t) == hash(uncached)
         assert repr(t) == repr(uncached)
+        if isinstance(t, ObjType):
+            assert "_unfold" in t.__dict__ and "_erased" in t.__dict__
 
 
 def test_nodes_are_immutable():
