@@ -8,6 +8,7 @@ from gobsec.algebra import type_equiv
 from gobsec.cli import corpus_dir
 from gobsec.parser import (
     ParseError,
+    _lex,
     parse_expr,
     parse_program,
     parse_sectype,
@@ -129,6 +130,90 @@ class TestParseProgram:
     def test_operator_method_names(self):
         e = parse_expr("1.+(2).*(3)")
         assert e.method == "*" and e.recv.method == "+"
+
+
+class TestLexer:
+    """The token stream `(kind, text, pos, line, col)` on edge cases."""
+
+    @pytest.mark.parametrize(
+        "src, tokens",
+        [
+            pytest.param(
+                "var x : Int!\r\n\tx\r\n",
+                [
+                    ("kw", "var", 0, 1, 1),
+                    ("id", "x", 4, 1, 5),
+                    ("punct", ":", 6, 1, 7),
+                    ("id", "Int", 8, 1, 9),
+                    ("punct", "!", 11, 1, 12),
+                    ("id", "x", 15, 2, 2),
+                    ("eof", "", 18, 3, 1),
+                ],
+                id="crlf-and-tab",
+            ),
+            pytest.param(
+                '"a\\nb\\tc\\"d\\\\e"',
+                [("str", 'a\nb\tc"d\\e', 0, 1, 1), ("eof", "", 15, 1, 16)],
+                id="string-escapes",
+            ),
+            pytest.param(
+                "<*> < * > <* ..  . ... => -> = > - >",
+                [
+                    ("punct", "<*>", 0, 1, 1),
+                    ("punct", "<", 4, 1, 5),
+                    ("punct", "*", 6, 1, 7),
+                    ("punct", ">", 8, 1, 9),
+                    ("punct", "<", 10, 1, 11),
+                    ("punct", "*", 11, 1, 12),
+                    ("punct", "..", 13, 1, 14),
+                    ("punct", ".", 17, 1, 18),
+                    ("punct", "..", 19, 1, 20),
+                    ("punct", ".", 21, 1, 22),
+                    ("punct", "=>", 23, 1, 24),
+                    ("punct", "->", 26, 1, 27),
+                    ("punct", "=", 29, 1, 30),
+                    ("punct", ">", 31, 1, 32),
+                    ("punct", "-", 33, 1, 34),
+                    ("punct", ">", 35, 1, 36),
+                    ("eof", "", 36, 1, 37),
+                ],
+                id="longest-punctuation-first",
+            ),
+            # A comment that ends the file leaves `eof` at the comment's column.
+            pytest.param("x // trailing", [("id", "x", 0, 1, 1), ("eof", "", 13, 1, 3)], id="comment-at-eof"),
+            pytest.param(
+                "é x_é2 ٣.+(1)",
+                [
+                    ("id", "é", 0, 1, 1),
+                    ("id", "x_é2", 2, 1, 3),
+                    ("int", "٣", 7, 1, 8),
+                    ("punct", ".", 8, 1, 9),
+                    ("punct", "+", 9, 1, 10),
+                    ("punct", "(", 10, 1, 11),
+                    ("int", "1", 11, 1, 12),
+                    ("punct", ")", 12, 1, 13),
+                    ("eof", "", 13, 1, 14),
+                ],
+                id="unicode-identifiers-and-digits",
+            ),
+        ],
+    )
+    def test_token_stream(self, src, tokens):
+        assert [(t.kind, t.text, t.pos, t.line, t.col) for t in _lex(src)] == tokens
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ('x\n  "ab\\q"', "2:3: unknown escape \\q"),
+            ('x\n\t"abc', "2:2: unterminated string literal"),
+            ('"ab\ncd"', "1:1: unterminated string literal"),
+            ('x "ab\\', "1:3: unterminated string escape"),
+        ],
+    )
+    def test_string_errors_point_at_the_opening_quote(self, src, message):
+        with pytest.raises(ParseError) as exc:
+            _lex(src)
+        assert str(exc.value) == message
 
 
 class TestPrettyPrint:
