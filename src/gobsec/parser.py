@@ -24,7 +24,10 @@ evaluation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .syntax import (
     PRIM_KINDS,
@@ -83,8 +86,7 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "id" | "int" | "str" | "kw" | "punct" | "eof"
     text: str
     pos: int
@@ -92,79 +94,58 @@ class Token:
     col: int
 
 
+# A string literal up to its closing quote: one line, four escapes.
+_STRING = r'"(?:[^"\\\n]|\\[nt"\\])*'
+# Blanks, then one alternative per token class, tried in this order. An
+# identifier starts with a letter (`str.isalpha`) or `_` and goes on with
+# `\w`, that is `str.isalnum` or `_`; `word` takes a non-ASCII start,
+# which `_lex` checks, since `\w` also holds digits such as `²`. An
+# integer is a run of decimal digits (`\d`, that is `str.isdecimal`).
+# `other` excludes blanks, so the blanks that end a source match nothing.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<id>[A-Za-z_]\w*)|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")"
+    r"|(?P<nl>\n)|(?P<int>\d+)|(?P<str>" + _STRING + r'")|(?P<comment>//[^\n]*)'
+    r"|(?P<word>\w+)|(?P<other>[^ \t\r]))"
+)
+_STRING_PREFIX = re.compile(_STRING)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_token = partial(tuple.__new__, Token)  # Token(...) without a Python-level call
+
+
 def _lex(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg: str):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    append = toks.append
+    line, line_start, end = 1, 0, len(src)
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        i, j = m.span(kind)
+        if kind == "nl":
+            line, line_start = line + 1, j
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            if j == len(src):
+                end = i  # `eof` stays at the column of a comment that ends the source
             continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            cl = col
-            while j < n and src[j] != '"':
-                if src[j] == "\\":
-                    if j + 1 >= n:
-                        err("unterminated string escape")
-                    esc = src[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc))
-                    if out[-1] is None:
-                        err(f"unknown escape \\{esc}")
-                    j += 2
-                elif src[j] == "\n":
-                    err("unterminated string literal")
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                err("unterminated string literal")
-            toks.append(Token("str", "".join(out), i, line, cl))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], i, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in _KEYWORDS else "id", word, i, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, i, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "", n, line, col))
+        text = src[i:j]
+        if kind == "id" or kind == "word" and text[0].isalpha():
+            kind = "kw" if text in _KEYWORDS else "id"
+        elif kind == "str":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], text)
+        elif kind == "other" and text == '"':
+            # What stops the valid prefix (newline, end, bad escape) is the error.
+            j = _STRING_PREFIX.match(src, i).end()
+            if j < len(src) and src[j] == "\\":
+                msg = f"unknown escape \\{src[j + 1]}" if j + 1 < len(src) else "unterminated string escape"
+            else:
+                msg = "unterminated string literal"
+            raise ParseError(msg, line, i - line_start + 1)
+        elif kind == "other" or kind == "word":
+            raise ParseError(f"unexpected character {text[0]!r}", line, i - line_start + 1)
+        append(_token((kind, text, i, line, i - line_start + 1)))
+    append(Token("eof", "", len(src), line, end - line_start + 1))
     return toks
 
 
@@ -222,9 +203,6 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
     def next(self) -> Token:
         t = self.toks[self.i]
         if t.kind != "eof":
@@ -232,18 +210,19 @@ class _Parser:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def eat(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            self.err(f"expected {want!r}, found {t.text or t.kind!r}")
-        return self.next()
+        t = self.toks[self.i]
+        if t.kind != kind or text is not None and t.text != text:
+            self.err(f"expected {text or kind!r}, found {t.text or t.kind!r}")
+        if kind != "eof":
+            self.i += 1
+        return t
 
     def err(self, msg: str):
-        t = self.peek()
+        t = self.toks[self.i]
         raise ParseError(msg, t.line, t.col)
 
     # -- program ----------------------------------------------------------
@@ -355,7 +334,7 @@ class _Parser:
     # -- types ------------------------------------------------------------
 
     def type_(self) -> DeclType:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == "id" and t.text in PRIM_KINDS:
             self.next()
             return Prim(t.text)
@@ -450,7 +429,7 @@ class _Parser:
                 break
             self.eat("punct", ">")
         self.eat("punct", ":")
-        if self._primsig_ahead(0):
+        if self._primsig_ahead():
             if tparams:
                 self.err("a primitive signature takes no type parameters")
             sig = self._primsig()
@@ -469,21 +448,19 @@ class _Parser:
         return name, GenericSig(tuple(tparams), tuple(args), ret)
 
     def _method_name(self) -> str:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == "id":
             return self.next().text
         if t.kind == "punct" and t.text in ("+", "-", "*"):
             return self.next().text
         self.err("expected a method name")
 
-    def _primsig_ahead(self, offset: int) -> bool:
-        t = self.peek(offset)
-        return (
-            t.kind == "id"
-            and t.text in PRIM_KINDS
-            and self.peek(offset + 1).kind == "punct"
-            and self.peek(offset + 1).text == "<*>"
-        )
+    def _primsig_ahead(self) -> bool:
+        t = self.toks[self.i]
+        if t.kind != "id" or t.text not in PRIM_KINDS:
+            return False
+        t = self.toks[self.i + 1]
+        return t.kind == "punct" and t.text == "<*>"
 
     def _primsig(self) -> PrimSig:
         kinds = [self._prim_star()]
@@ -522,7 +499,7 @@ class _Parser:
         e = self.primary()
         while self.at("punct", "."):
             self.next()
-            start = self.peek().pos
+            start = self.toks[self.i].pos
             name = self._method_name()
             targs: list[DeclType] = []
             if self.at("punct", "<"):
@@ -541,10 +518,10 @@ class _Parser:
         return e
 
     def primary(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == "int":
             self.next()
-            return PrimLit(_wrap64(int(t.text)), "Int", (t.pos, t.pos + len(t.text)))
+            return PrimLit(_int64(t.text), "Int", (t.pos, t.pos + len(t.text)))
         if t.kind == "str":
             self.next()
             return PrimLit(t.text, "String", (t.pos, t.pos + len(t.text)))
@@ -634,8 +611,14 @@ def _marker_names(t) -> frozenset[str]:
     return frozenset(n for n in free_type_vars(t) if n.startswith("%alias:"))
 
 
-def _wrap64(v: int) -> int:
-    v &= (1 << 64) - 1
+def _int64(digits: str) -> int:
+    """A decimal literal wrapped to a signed 64-bit integer. It is read in
+    chunks of 640 digits, the least limit `sys.set_int_max_str_digits`
+    allows, so `int` takes a literal of any length."""
+    v = 0
+    for k in range(0, len(digits), 640):
+        chunk = digits[k : k + 640]
+        v = (v * pow(10, len(chunk), 1 << 64) + int(chunk)) & ((1 << 64) - 1)
     return v - (1 << 64) if v >= (1 << 63) else v
 
 

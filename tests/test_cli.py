@@ -59,6 +59,14 @@ class TestCheck:
         res = runner.invoke(main, ["check", f])
         assert res.exit_code == 2
 
+    def test_non_decimal_digit_is_a_parse_error(self, runner, write):
+        # `²` is a digit to `str.isdigit` but not a decimal one.
+        f = write("superscript.gobsec", "expect secure\n²\n")
+        res = runner.invoke(main, ["check", f])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        assert res.output.strip() == "parse error: 2:1: unexpected character '²'"
+
     def test_simple_flag(self, runner, write):
         # Simply typed even though security-rejected at Bool!.
         src = 'type StringLen = Obj(a)[ length : Unit! -> Int! ]\nvar x : String<StringLen>\nx.eq("a")'

@@ -15,7 +15,11 @@ from gobsec.parser import _KEYWORDS, _PUNCT
 HERE = Path(__file__).parent
 SOURCES = [p.read_text() for d in (corpus_dir(), HERE / "programs") for p in sorted(d.glob("*.gobsec"))]
 # Inputs that once escaped as an exception, run as they are.
-FIXED = [(HERE / "errors" / "empty_interval.gobsec").read_text()]
+FIXED = [
+    (HERE / "errors" / "empty_interval.gobsec").read_text(),
+    "expect secure\n²\n",  # a digit that is not decimal
+    "expect secure\n" + "9" * 5000,  # more digits than `int` converts at once
+]
 TOKENS = sorted(_KEYWORDS) + _PUNCT + ["x", "h", "a", "X", "Int", "String", "Bool", "Unit", "0", "7", '"ab"', "\n"]
 MUTANTS = 1000
 

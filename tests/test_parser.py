@@ -131,6 +131,21 @@ class TestParseProgram:
         e = parse_expr("1.+(2).*(3)")
         assert e.method == "*" and e.recv.method == "+"
 
+    def test_integer_literals_wrap_to_64_bits(self):
+        # More digits than CPython's int-string limit (4300) still parse.
+        assert parse_expr("1" + "0" * 4300).value == (pow(10, 4300, 2**64) ^ 2**63) - 2**63
+        for digits in ("9" * 5000, "1234567" * 700, "18446744073709551617"):
+            wrapped = 0
+            for d in digits:
+                wrapped = (wrapped * 10 + int(d)) % 2**64
+            assert parse_expr(digits).value == (wrapped ^ 2**63) - 2**63
+
+    def test_integer_literals_are_decimal_digits(self):
+        assert parse_expr("٣").value == 3  # ARABIC-INDIC DIGIT THREE
+        with pytest.raises(ParseError, match="unexpected character '²'"):
+            parse_expr("²")
+        assert parse_expr("x²") == Var("x²")
+
 
 class TestLexer:
     """The token stream `(kind, text, pos, line, col)` on edge cases."""
