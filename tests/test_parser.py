@@ -196,6 +196,7 @@ class TestLexer:
             ),
             # A comment that ends the file leaves `eof` at the comment's column.
             pytest.param("x // trailing", [("id", "x", 0, 1, 1), ("eof", "", 13, 1, 3)], id="comment-at-eof"),
+            pytest.param("x \t ", [("id", "x", 0, 1, 1), ("eof", "", 4, 1, 5)], id="blanks-at-eof"),
             pytest.param(
                 "é x_é2 ٣.+(1)",
                 [
