@@ -1,0 +1,6 @@
+"""`python -m gobsec`: the `gobsec` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main(prog_name="gobsec")

@@ -138,7 +138,16 @@ def _lex(src: str) -> list[Token]:
             # What stops the valid prefix (newline, end, bad escape) is the error.
             j = _STRING_PREFIX.match(src, i).end()
             if j < len(src) and src[j] == "\\":
-                msg = f"unknown escape \\{src[j + 1]}" if j + 1 < len(src) else "unterminated string escape"
+                # A backslash that ends the line or the source escapes
+                # nothing; an unknown escape shows its character as it
+                # is only when that character is visible.
+                c = src[j + 1 : j + 2]
+                if c in ("", "\n", "\r"):
+                    msg = "unterminated string escape"
+                elif c.isprintable() and not c.isspace():
+                    msg = f"unknown escape \\{c}"
+                else:
+                    msg = f"unknown escape \\ before {c!r}"
             else:
                 msg = "unterminated string literal"
             raise ParseError(msg, line, i - line_start + 1)

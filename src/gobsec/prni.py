@@ -8,7 +8,8 @@ policies, the harness
 1. samples type substitutions within the bounds of the type variable
    environment (the observer's power),
 2. generates pairs of input values related at each variable's policy,
-3. runs the program body on both sides, with the inputs bound in the
+3. runs the program body on both sides (once when their inputs are
+   equal: the machine is deterministic), with the inputs bound in the
    machine's environment rather than substituted into the body, and
 4. probes the two results at the observation type, method by method,
    recursively, with the step index bounding observation depth. A result
@@ -34,10 +35,13 @@ primitive leaves and runs the machine. An input type has a template
 (`_Template`): the unrolled object literal of its pair, with a free
 variable at each primitive leaf and the leaf's policy resolved to its
 partition. A trial draws the leaves in the template's order and binds
-them in the closure's environment. An observation type has a probe plan:
-per method and sampled instantiation, the arguments' and result's types,
-the public arguments, the probe call and the plan of the result type (a
-recursive type's plan links back to itself).
+them in the closure's environment. Every draw reseeds the verdict's one
+generator (`ProbeContext.reseed`) from a fold of the seed and the draw's
+indices (`_mix`), so it draws what a fresh generator per draw would.
+An observation type has a probe plan: per method and sampled
+instantiation, the arguments' and result's types, the public arguments,
+the probe call and the plan of the result type (a recursive type's plan
+links back to itself).
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -103,22 +107,29 @@ class NoGenerator(GobsecError):
 # ---------------------------------------------------------------------------
 
 _MASK = (1 << 64) - 1
+_MIX0 = 0x9E3779B97F4A7C15
 
 
-def _mix(*parts) -> int:
-    """SplitMix64-style combination of integers and short strings; stable
-    across runs and platforms so seeded runs are byte-reproducible."""
-    h = 0x9E3779B97F4A7C15
+def _crc(s: str) -> int:
+    return zlib.crc32(s.encode())
+
+
+def _fold(h: int, v: int) -> int:
+    """One SplitMix64-style step of `_mix`, for `v` in `0 .. 2**64 - 1`."""
+    h = (h ^ v) * 0xBF58476D1CE4E5B9 & _MASK
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK
+    return h ^ (h >> 31)
+
+
+def _mix(*parts, h: int = _MIX0) -> int:
+    """Left fold (`_fold`) of integers and short strings, a string read as
+    its CRC-32; stable across runs and platforms so seeded runs are
+    byte-reproducible. A fold continues from `h`, the fold of a prefix:
+    `_mix(b, h=_mix(a))` is `_mix(a, b)`, so a hot path folds its constant
+    prefix once and then folds small ints one `_fold` at a time."""
     for p in parts:
-        v = zlib.crc32(p.encode()) if isinstance(p, str) else int(p) & _MASK
-        h = (h ^ v) * 0xBF58476D1CE4E5B9 & _MASK
-        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK
-        h ^= h >> 31
+        h = _fold(h, _crc(p) if isinstance(p, str) else int(p) & _MASK)
     return h
-
-
-def _rng(seed: int, *path) -> random.Random:
-    return random.Random(_mix(seed, *path))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +339,26 @@ _UNIVERSE: dict[str, tuple] = {
 _LITS: dict[str, dict] = {kind: {v: PrimLit(v, kind) for v in values} for kind, values in _UNIVERSE.items()}
 
 
+def _below(bits, n: int) -> int:
+    """`Random._randbelow(n)`, the draw behind `randint` and `choice`, from
+    the generator's `getrandbits`: the same numbers, with fewer frames."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
+    """A literal of the universe: the `Int` of `randint(0, 9)`, the
+    `String` of `randint(0, 4)` letters of `choice(_ALPHABET)`, the `Bool`
+    of `random() < 0.5`."""
     lits = _LITS[kind]
     if kind == "Int":
-        return lits[rng.randint(0, 9)]
+        return lits[_below(rng.getrandbits, 10)]
     if kind == "String":
-        return lits["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 4)))]
+        bits = rng.getrandbits
+        return lits["".join([_ALPHABET[_below(bits, 3)] for _ in range(_below(bits, 5))])]
     if kind == "Bool":
         return lits[rng.random() < 0.5]
     return UNIT
@@ -430,7 +455,8 @@ class _Template:
             elif classes is _ANY:
                 v2 = _rand_lit(kind, rng)
             else:
-                v2 = _LITS[kind][rng.choice(classes[v1.value])]
+                cls = classes[v1.value]
+                v2 = _LITS[kind][cls[_below(rng.getrandbits, len(cls))]]
             leaves1.append(v1)
             leaves2.append(v2)
         return leaves1, leaves2
@@ -464,10 +490,10 @@ class _Row:
     parameters, with everything a probe needs that does not depend on the
     probed values."""
 
-    __slots__ = ("name", "ti", "targs", "pubs", "gens", "ret", "node", "names", "call", "steps", "fixed")
+    __slots__ = ("name", "targs", "pubs", "gens", "ret", "node", "names", "call", "salt", "steps", "fixed")
 
     def __init__(self, name: str, ti: int, inst: dict[str, DeclType], sig: GenericSig):
-        self.name, self.ti = name, ti
+        self.name = name
         self.targs = tuple(inst.values())
         args_types = [subst_type_vars(a, inst) for a in sig.args]
         self.ret = subst_type_vars(sig.ret, inst)
@@ -479,7 +505,11 @@ class _Row:
         self.gens = tuple((j, at) for j, at in enumerate(args_types) if not public[j])
         self.names = ("r", *(f"a{j}" for j in range(len(args_types))))
         self.call = Invoke(Var("r"), name, self.targs, tuple(Var(p) for p in self.names[1:]))
-        self.steps = tuple(str((name, ti, ai)) for ai in range(ASAMPLES))
+        # A probe's arguments are seeded by its path, the row and the
+        # sample (`args`); the path below sample `ai` adds `steps[ai]`.
+        # Both are folded as the ints `_mix` reads their strings as.
+        self.salt = (_crc(name), ti)
+        self.steps = tuple(_crc(str((name, ti, ai))) for ai in range(ASAMPLES))
         # With public arguments only, and receivers that are not literals,
         # each sample's arguments are fixed; a repeat is None.
         self.fixed = None
@@ -487,16 +517,17 @@ class _Row:
             samples = [tuple(_public_arg(kind, (), ai + j) for j, kind in self.pubs) for ai in range(ASAMPLES)]
             self.fixed = tuple(None if args in samples[:ai] else args for ai, args in enumerate(samples))
 
-    def args(self, ai: int, v1, v2, k: int, ctx: "ProbeContext", path: tuple) -> tuple:
+    def args(self, ai: int, v1, v2, k: int, ctx: "ProbeContext", path: int) -> tuple:
         """The arguments of sample `ai` on each side, and their probe key. A
         non-public argument is a pair from its template at `k - 1`, drawn
-        from a generator seeded by the probe's path."""
+        from the context's generator reseeded by the probe's path (`path`,
+        the fold of the steps above it), the row and the sample."""
         n = len(self.names) - 1
         args1, args2, keys1, keys2 = [None] * n, [None] * n, [None] * n, [None] * n
         for j, kind in self.pubs:
             args1[j] = args2[j] = keys1[j] = keys2[j] = _public_arg(kind, (v1, v2), ai + j)
         if self.gens:
-            arng = _rng(ctx.seed, "args", *path, self.name, self.ti, ai)
+            arng = ctx.reseed(_mix(*self.salt, ai, h=path))
             for j, at in self.gens:
                 template = ctx.stage.template(at, k - 1)
                 leaves1, leaves2 = template.draw(arng)
@@ -659,9 +690,22 @@ class ProbeContext:
     budget: int = PROBE_BUDGET
     # The templates and plans of the checks made in this context.
     stage: _Stage = field(init=False, repr=False)
+    # The one generator of the draws made in this context (`reseed`).
+    rng: random.Random = field(init=False, repr=False)
+    _seed: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.stage = _Stage(self.pool)
+        self.rng = random.Random(0)
+        # What `Random.seed` does with an int, without its type checks:
+        # seed the underlying Mersenne Twister.
+        self._seed = super(random.Random, self.rng).seed
+
+    def reseed(self, h: int) -> random.Random:
+        """The context's generator, reseeded to the int `h`: it draws what
+        `random.Random(h)` would."""
+        self._seed(h)
+        return self.rng
 
 
 def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, list[Observation] | None]:
@@ -677,13 +721,13 @@ def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, 
     """
     if k <= 0 or ctx.budget <= 0:
         return True, None
-    return _related(k, v1, v2, ctx.stage.node(s), ctx, ())
+    return _related(k, v1, v2, ctx.stage.node(s), ctx, _mix(ctx.seed, "args"))
 
 
-def _related(k: int, v1, v2, node, ctx: ProbeContext, path: tuple) -> tuple[bool, list[Observation] | None]:
+def _related(k: int, v1, v2, node, ctx: ProbeContext, path: int) -> tuple[bool, list[Observation] | None]:
     """`check_related` at a probe node, with `k > 0` and budget left. `path`
-    holds the probe steps above, as the strings that seed their
-    arguments."""
+    is the fold (`_mix`) of the context's seed, `"args"` and the probe
+    steps above, which seeds their arguments."""
     if node is None:
         return True, None
     if type(node) is str:
@@ -711,7 +755,7 @@ def _related(k: int, v1, v2, node, ctx: ProbeContext, path: tuple) -> tuple[bool
                 continue
             if row.node is _UNRESOLVED:
                 row.node = ctx.stage.node(row.ret)
-            ok, sub = _related(k - 1, out[0], out[1], row.node, ctx, path + (row.steps[ai],))
+            ok, sub = _related(k - 1, out[0], out[1], row.node, ctx, _fold(path, row.steps[ai]))
             if not ok:
                 return False, [row.observation(args1, args2)] + sub
     return True, None
@@ -778,15 +822,21 @@ def prni_test(
     if pool is None:
         pool = default_pool(program)
     # One context for the whole verdict, so its templates and plans are
-    # built once; each trial gets its own probe seed and budget.
+    # built once and one generator makes every draw; each trial gets its
+    # own probe seed and budget. Every draw reseeds the generator from the
+    # seed's fold with a constant (`_mix`, folded once here) and the draw's
+    # indices: substitution `i`, input `xi` of a trial, a probe's path.
     ctx = ProbeContext(pool=pool)
+    subst_seed, pair_seed, check_seed = (_mix(config.seed, part) for part in ("subst", "pair", "check"))
     delta = dict(program.tvars)
     gamma = dict(program.vars)
     body = program.body
-    substs: list[dict[str, DeclType]] = []
+
+    def draw_subst(i: int) -> dict[str, DeclType]:
+        return _sample_subst(delta, ctx.stage.candidates, ctx.reseed(_fold(subst_seed, i)))
+
     n_substs = max(1, config.substs) if delta else 1
-    for i in range(n_substs):
-        substs.append(_sample_subst(delta, ctx.stage.candidates, _rng(config.seed, "subst", i)) if delta else {})
+    substs = [draw_subst(i) if delta else {} for i in range(n_substs)]
     # Independent draws can all agree (1 seed in 512 for an interval of two
     # types), and then no trial runs the other instantiation, where a leak
     # may be. The last draw is then redrawn until it differs.
@@ -795,7 +845,7 @@ def prni_test(
 
     if len(substs) > 1 and len({key(sub) for sub in substs}) == 1:
         for i in range(n_substs, 4 * n_substs):
-            sub = _sample_subst(delta, ctx.stage.candidates, _rng(config.seed, "subst", i))
+            sub = draw_subst(i)
             if key(sub) != key(substs[0]):
                 substs[-1] = sub
                 break
@@ -808,26 +858,31 @@ def prni_test(
     substituted: dict = {}
     instances = []
     for sigma in substs:
-        key = tuple(map(id, sigma.values()))
-        if key not in substituted:
-            substituted[key] = (
+        ids = tuple(map(id, sigma.values()))
+        if ids not in substituted:
+            substituted[ids] = (
                 subst_type_vars_expr(body, sigma),
                 subst_type_vars(observe_at, sigma),
                 [subst_type_vars(xs, sigma) for xs in gamma.values()],
             )
-        instances.append((sigma, *substituted[key]))
+        instances.append((sigma, *substituted[ids]))
     compared = 0
     for trial in range(pairs):
         sigma, sbody, sobserve, sxs = instances[trial % len(instances)]
-        gamma1: dict = {}
-        gamma2: dict = {}
-        for xi, (x, sx) in enumerate(zip(gamma, sxs)):
+        trial_seed = _fold(pair_seed, trial)
+        drawn = []
+        for xi, sx in enumerate(sxs):
             template = ctx.stage.template(sx, config.k)
-            leaves1, leaves2 = template.draw(_rng(config.seed, "pair", trial, xi))
-            gamma1[x] = template.value(leaves1)
-            gamma2[x] = template.value(leaves2)
+            drawn.append((template, *template.draw(ctx.reseed(_fold(trial_seed, xi)))))
+        gamma1 = {x: t.value(leaves1) for x, (t, leaves1, _) in zip(gamma, drawn)}
         r1 = run_machine(sbody, bind(gamma1), config.fuel)
-        r2 = run_machine(sbody, bind(gamma2), config.fuel)
+        if all(leaves1 == leaves2 for _, leaves1, leaves2 in drawn):
+            # Both sides have the same inputs, and the machine is
+            # deterministic, so the second run would only repeat the first.
+            gamma2, r2 = gamma1, r1
+        else:
+            gamma2 = {x: t.value(leaves2) for x, (t, _, leaves2) in zip(gamma, drawn)}
+            r2 = run_machine(sbody, bind(gamma2), config.fuel)
         if isinstance(r1, Stuck) or isinstance(r2, Stuck):
             which = r1 if isinstance(r1, Stuck) else r2
             raise GobsecError(
@@ -836,7 +891,7 @@ def prni_test(
         if not (isinstance(r1, Value) and isinstance(r2, Value)):
             continue  # termination-insensitive
         compared += 1
-        ctx.seed, ctx.budget = _mix(config.seed, "check", trial), PROBE_BUDGET
+        ctx.seed, ctx.budget = _fold(check_seed, trial), PROBE_BUDGET
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:
             terms1 = {x: _term(v) for x, v in gamma1.items()}

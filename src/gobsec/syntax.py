@@ -21,11 +21,12 @@ Type nodes cache their canonical key (`canon`) and their free self and
 generic variables in the instance dictionary, outside the dataclass
 fields, so `==`, `hash` and `repr` never see the caches; `algebra.unfold`
 and the erasure of `subtyping.simple_sub_type` store their answers there
-too. One walker,
-`_subst`, substitutes both kinds of type variable; it returns the
-subtrees in which no replaced variable is free as they are, caches
-included. The caches are only sound because nodes are immutable: a node
-must never be mutated, not even through `object.__setattr__`.
+too, and the nodes that hold other type nodes their field hash
+(`_hash_once`). One walker, `_subst`, substitutes both kinds of type
+variable; it returns the subtrees in which no replaced variable is free
+as they are, caches included. The caches are only sound because nodes
+are immutable: a node must never be mutated, not even through
+`object.__setattr__`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,23 @@ class GobsecError(Exception):
 # ---------------------------------------------------------------------------
 
 PRIM_KINDS = ("Int", "String", "Bool", "Unit")
+
+
+def _hash_once(cls):
+    """`cls` with its dataclass hash computed once per node, under `_hash`
+    in the instance dictionary: a dictionary or cache keyed by a type then
+    hashes its tree once, not on every lookup."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        memo = self.__dict__
+        h = memo.get("_hash")
+        if h is None:
+            h = memo["_hash"] = fields_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -69,6 +87,7 @@ class TypeVar:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ObjType:
     """Recursive object interface: `Obj(a)[m : sig, ...]`.
@@ -112,6 +131,7 @@ def is_top(u: DeclType) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TParam:
     """One bounded type parameter `X : lower .. upper` of a signature."""
@@ -121,6 +141,7 @@ class TParam:
     upper: DeclType
 
 
+@_hash_once
 @dataclass(frozen=True)
 class GenericSig:
     """Standard method signature `<X:A..B, ...> S1 * ... * Sn -> S`.
@@ -145,6 +166,7 @@ class PrimSig:
 MethodSig = Union[GenericSig, PrimSig]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Faceted:
     """Security type `T<U>`: safety facet plus declassification facet."""

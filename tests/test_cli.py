@@ -1,12 +1,16 @@
 """The command-line interface: exit codes, JSON output, corpus runner."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gobsec
 from gobsec import cli, typecheck
 from gobsec.cli import corpus_dir, main, run_corpus_file
 
@@ -66,6 +70,16 @@ class TestCheck:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 2
         assert res.output.strip() == "parse error: 2:1: unexpected character '²'"
+
+    def test_backslash_before_a_line_end_is_one_line_of_error(self, runner, write):
+        f = write("escape.gobsec", 'var s : String!\ns.concat("ab\\\n")\n')
+        # `check` reports on stdout, `prni` on stderr; each one line.
+        res = runner.invoke(main, ["check", f])
+        assert res.exit_code == 2
+        assert res.stdout == "parse error: 2:10: unterminated string escape\n"
+        res = runner.invoke(main, ["prni", f, "--seed", "1"])
+        assert res.exit_code == 2
+        assert res.stderr == "parse error: 2:10: unterminated string escape\n"
 
     def test_simple_flag(self, runner, write):
         # Simply typed even though security-rejected at Bool!.
@@ -405,3 +419,15 @@ def test_deep_recursion_runs_without_python_recursion(runner, write, n, fuel):
     assert res.exit_code == 0, res.output
     assert res.stdout.strip() == str(n)
     assert not isinstance(res.exception, RecursionError)
+
+
+def test_python_m_gobsec_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(gobsec.__file__).parent.parent)}
+    res = subprocess.run(
+        [sys.executable, "-m", "gobsec", "check", str(corpus_dir() / "login.gobsec")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "String!\n"

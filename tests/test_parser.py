@@ -224,6 +224,11 @@ class TestLexer:
             ('x\n\t"abc', "2:2: unterminated string literal"),
             ('"ab\ncd"', "1:1: unterminated string literal"),
             ('x "ab\\', "1:3: unterminated string escape"),
+            # A backslash before a line end escapes nothing either, and
+            # an invisible character is shown by its `repr`.
+            ('x "ab\\\n"', "1:3: unterminated string escape"),
+            ('x "ab\\\r\n"', "1:3: unterminated string escape"),
+            ('x "ab\\\t"', "1:3: unknown escape \\ before '\\t'"),
         ],
     )
     def test_string_errors_point_at_the_opening_quote(self, src, message):

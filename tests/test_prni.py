@@ -3,6 +3,7 @@ related-pair generation, relatedness probing, and end-to-end verdicts."""
 
 import random
 import re
+import zlib
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from gobsec.prni import (
     sample_subst,
     verdict_to_json,
 )
+from gobsec.prni import _mix, _rand_lit
 from gobsec.syntax import TOP, UNIT, Faceted, Invoke, Prim, PrimLit, TypeVar, canon, subst_term
 
 from conftest import (
@@ -517,3 +519,102 @@ class TestStagedWork:
         few = self.counts(25)
         assert all(few.values()), few
         assert self.counts(200) == few
+
+
+class TestTrialWork:
+    """A verdict builds one generator and reseeds it for every draw, and a
+    trial whose two sides get equal inputs runs the body once: the machine
+    is deterministic, so both sides share its outcome."""
+
+    FUEL = 9_999  # the body's fuel, which tells its runs from the probes'
+
+    def work(self, name):
+        from gobsec.typecheck import sec_synth
+
+        runs = generators = 0
+        run_machine, init = gobsec.prni.run_machine, random.Random.__init__
+
+        def counted_run(e, env, fuel):
+            nonlocal runs
+            runs += fuel == self.FUEL
+            return run_machine(e, env, fuel)
+
+        def counted_init(self_, *args, **kwargs):
+            nonlocal generators
+            generators += 1
+            init(self_, *args, **kwargs)
+
+        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
+        observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gobsec.prni, "run_machine", counted_run)
+            mp.setattr(random.Random, "__init__", counted_init)
+            v = prni_test(p, observe, PrniConfig(pairs=25, seed=1, fuel=self.FUEL))
+        assert isinstance(v, NoCounterexample) and v.compared == 25
+        return runs, generators
+
+    @pytest.mark.parametrize(
+        "name, runs",
+        [
+            # Public inputs and an equality policy: the sides are always equal.
+            ("login.gobsec", 25),
+            ("prim_eq.gobsec", 25),
+            # A `Top` input: 2 of the 25 trials draw the same string twice.
+            ("prim_eq_high.gobsec", 48),
+            # Two lists of several leaves each: no trial draws equal sides.
+            ("list_concat_mixed.gobsec", 50),
+        ],
+    )
+    def test_equal_sides_run_the_body_once(self, name, runs):
+        assert self.work(name) == (runs, 1)
+
+
+def _reference_mix(*parts):
+    """The seed derivation as first written: a fold over the parts from a
+    constant, each string read as its CRC-32."""
+    h = 0x9E3779B97F4A7C15
+    for p in parts:
+        v = zlib.crc32(p.encode()) if isinstance(p, str) else int(p) & ((1 << 64) - 1)
+        h = (h ^ v) * 0xBF58476D1CE4E5B9 & ((1 << 64) - 1)
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & ((1 << 64) - 1)
+        h ^= h >> 31
+    return h
+
+
+class TestStreams:
+    """Every draw gets the numbers it got from a fresh `random.Random` per
+    draw and the generator's own `randint`, `choice` and `random`, so a
+    seed's verdict does not change. Should CPython change how `Random`
+    draws below a bound (`_randbelow`), these tests name the cause."""
+
+    SEEDS = range(10_000)
+
+    def test_literals_are_those_of_the_random_methods(self):
+        for seed in self.SEEDS:
+            ref = random.Random(seed)
+            n = ref.randint(0, 4)
+            string = "".join(ref.choice("abc") for _ in range(n))
+            assert _rand_lit("String", random.Random(seed)) == PrimLit(string, "String")
+            assert _rand_lit("Int", random.Random(seed)) == PrimLit(random.Random(seed).randint(0, 9), "Int")
+            assert _rand_lit("Bool", random.Random(seed)) == PrimLit(random.Random(seed).random() < 0.5, "Bool")
+
+    def test_a_reseeded_generator_draws_what_a_new_one_draws(self):
+        ctx = ProbeContext()
+        for seed in [*range(100), 2**64 - 1, _reference_mix(1, "pair", 0, 0)]:
+            rng = ctx.reseed(seed)
+            assert rng is ctx.rng
+            ref = random.Random(seed)
+            assert [rng.random(), rng.getrandbits(3), rng.choice("abc")] == [
+                ref.random(),
+                ref.getrandbits(3),
+                ref.choice("abc"),
+            ]
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(1, "pair", 7, 0), (-3, "check", 2), (0, "args", "('eq', 0, 1)", "eq", 1, 2), (2**70, "subst", 9)],
+    )
+    def test_a_fold_continues_from_its_prefix(self, parts):
+        assert _mix(*parts) == _reference_mix(*parts)
+        for cut in range(len(parts) + 1):
+            assert _mix(*parts[cut:], h=_mix(*parts[:cut])) == _reference_mix(*parts)

@@ -287,6 +287,11 @@ def test_node_caches_are_invisible():
         t = random_closed_type(rng, 2)
         cold = _fresh_copy(t)
         for node, twin in zip(_nodes(t), _nodes(cold)):
+            if isinstance(node, (ObjType, GenericSig, Faceted, TParam)):
+                # The hash is kept on the node: read twice, it is the hash
+                # of a structurally equal node built afresh.
+                assert hash(node) == node.__dict__["_hash"]
+                assert hash(node) == hash(_fresh_copy(node))
             if isinstance(node, TParam):
                 continue  # no canonical form of its own
             # The answer that fills the cache is the answer read from it ...
