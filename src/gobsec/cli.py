@@ -26,6 +26,10 @@ Exit codes are a stable contract:
     3  evaluation timed out
     4  evaluation got stuck
     5  a noninterference counterexample was found
+
+The message of an exit 2 goes to stderr, as do `check`'s well-formedness
+issues; only `check --json` and `run --json` print theirs, as JSON, on
+stdout. Results and type errors go to stdout.
 """
 
 from __future__ import annotations
@@ -201,11 +205,13 @@ def _prni(
         raise _Stop(str(ex)) from None
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(payload: dict, as_json: bool, text: str, err: bool = False) -> None:
+    """The JSON payload on stdout, or else `text`: on stderr when `err`
+    (the message of an exit 2), on stdout otherwise."""
     if as_json:
         click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        click.echo(text)
+        click.echo(text, err=err)
 
 
 @main.command("check")
@@ -219,8 +225,9 @@ def cmd_check(file: str, simple_only: bool, as_json: bool) -> None:
         _wf(prog, echo=not as_json)
         t = _simple_type(prog) if simple_only else _subsume(prog, _synth(prog))
     except _Stop as stop:
-        _emit(stop.payload, as_json, stop.text)
-        sys.exit(EXIT_BAD_INPUT if stop.payload["status"] == "error" else EXIT_TYPE_ERROR)
+        bad_input = stop.payload["status"] == "error"
+        _emit(stop.payload, as_json, stop.text, err=bad_input)
+        sys.exit(EXIT_BAD_INPUT if bad_input else EXIT_TYPE_ERROR)
     _emit({"status": "ok", "type": pretty_print(t)}, as_json, pretty_print(t))
     sys.exit(EXIT_OK)
 
@@ -261,7 +268,7 @@ def cmd_run(file: str, inputs: tuple[str, ...], fuel: int, as_json: bool) -> Non
             bindings[name] = value
     except _Stop as stop:
         error = stop.payload["error"] if stop.payload else stop.message
-        _emit({"outcome": "error", "error": error}, as_json, stop.text)
+        _emit({"outcome": "error", "error": error}, as_json, stop.text, err=True)
         sys.exit(EXIT_BAD_INPUT)
     out = evaluate(prog.body, fuel, bind(bindings))
     if isinstance(out, Value):

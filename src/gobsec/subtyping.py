@@ -8,16 +8,22 @@ The algorithm is goal-directed:
 * the empty interface is a top: anything is below it;
 * a variable on the left is chased through its upper bound, a variable on
   the right through its lower bound;
-* self variables resolve through the assumption set built up when record
-  comparison descends under binders;
-* primitive kinds sit below object interfaces via their method table;
-* object-vs-object compares records under a fresh pair of assumed-related
-  self variables, retrying on one-level unfoldings when the direct
-  comparison fails (this recovers mixed folded/unfolded spellings).
+* self variables resolve through the assumption set the caller passes;
+  the algorithm itself never adds to it;
+* primitive kinds sit below object interfaces via their method table,
+  compared against the object type's closed record;
+* object-vs-object compares the two closed records (each type's
+  unfolding, built once and cached on the node), so a recursive
+  occurrence on either side is the whole type again and mixed folded and
+  unfolded spellings need no special case.
 
 Termination comes from an in-flight goal set keyed on canonical forms:
 a goal that recurs inside its own derivation is assumed to hold
-(coinduction), which is exactly what recursive object types need.
+(coinduction, as in Amadio & Cardelli 1993 and Gapeyev, Levin & Pierce
+2002), which is exactly what recursive object types need. A goal's key
+holds the bounds of the type variables it can reach and no others, so a
+goal revisited under further signature parameters matches its in-flight
+entry.
 
 The single-facet order of the simple type system is the same algorithm
 run on facet-erased types (see `simple_sub_type`).
@@ -52,7 +58,7 @@ from .syntax import (
     assume_self,
     canon,
     canon_delta,
-    free_self_vars,
+    free_type_vars,
     is_top,
     iter_subterms,
     rename_self_var,
@@ -67,21 +73,22 @@ class BudgetExceeded(GobsecError):
     """The declarative search ran out of derivation depth undecided."""
 
 
-def _goal_key(delta: TypeVarEnv, sigma: SubAssumptions, u1, u2, tag: str) -> tuple:
-    # Only assumptions about self variables free in the goal can influence
-    # its derivation; pruning the rest lets a goal that recurs under fresh
-    # (irrelevant) assumptions hit the in-flight set and close the
-    # coinductive loop.
-    fsv1 = free_self_vars(u1)
-    fsv2 = free_self_vars(u2)
-    live = tuple(
-        sorted(
-            (l, r)
-            for (l, r) in sigma
-            if r in fsv2 and (l[0] == "prim" or l[1] in fsv1)
-        )
-    )
-    return (tag, canon_delta(delta), live, canon(u1), canon(u2))
+def _goal_key(delta: TypeVarEnv, u1, u2, tag: str) -> tuple:
+    # A goal's derivation reads only the bounds of the type variables it can
+    # reach: its free ones, closed under their bounds' free variables. Keying
+    # on those alone lets a goal that recurs under the parameters of the
+    # signatures passed on the way hit the in-flight set. Sigma is fixed for
+    # the whole derivation, so it needs no place in the key.
+    bounds = {}
+    todo = [*free_type_vars(u1), *free_type_vars(u2)]
+    while todo:
+        name = todo.pop()
+        if name in bounds or name not in delta:
+            continue
+        lo, hi = delta[name]
+        bounds[name] = (canon(lo), canon(hi))
+        todo += free_type_vars(lo) | free_type_vars(hi)
+    return (tag, tuple(sorted(bounds.items())), canon(u1), canon(u2))
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +106,13 @@ def sub_type(
 ) -> bool:
     """Decide `delta; sigma |- u1 <: u2`.
 
-    With `allow_ig` the signature comparison additionally accepts a sound
-    standard signature above a primitive signature; this variant is what
-    the facet-wise well-formedness check uses.
+    `sigma` holds only the caller's assumptions about self variables free
+    in `u1` and `u2`, and is empty for closed types: the algorithm never
+    extends it. With `allow_ig` the signature comparison additionally
+    accepts a sound standard signature above a primitive signature; this
+    variant is what the facet-wise well-formedness check uses.
     """
-    return _sub(delta, sigma, u1, u2, allow_ig, set(), 0)
+    return _sub(delta, sigma, u1, u2, allow_ig, set())
 
 
 def simple_sub_type(t1, t2) -> bool:
@@ -138,34 +147,34 @@ def _erase(x):
     return out
 
 
-def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set, depth: int) -> bool:
+def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set) -> bool:
     if type_equiv(u1, u2):
         return True
     if is_top(u2):
         return True
 
-    key = _goal_key(delta, sigma, u1, u2, "ig" if allow_ig else "sub")
+    key = _goal_key(delta, u1, u2, "ig" if allow_ig else "sub")
     if key in in_flight:
         return True
     in_flight.add(key)
     try:
-        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight, depth)
+        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight)
     finally:
         in_flight.discard(key)
 
 
-def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight, depth) -> bool:
+def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight) -> bool:
     # Generic variable on the left: through its upper bound.
     if isinstance(u1, TypeVar):
         if u1.name not in delta:
             raise IllFormedInput(f"unbound type variable {u1.name}")
-        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, in_flight, depth):
+        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, in_flight):
             return True
     # Generic variable on the right: through its lower bound.
     if isinstance(u2, TypeVar):
         if u2.name not in delta:
             raise IllFormedInput(f"unbound type variable {u2.name}")
-        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, in_flight, depth)
+        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, in_flight)
     if isinstance(u1, TypeVar):
         return False
 
@@ -177,27 +186,13 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight, depth) -> bool:
     if isinstance(u1, Prim):
         if isinstance(u2, Prim):
             return False  # distinct kinds; equal kinds were caught by equivalence
-        beta = f"%b{depth}"
-        r2 = rename_self_var(u2, beta).methods
-        sigma2 = assume_prim(sigma, u1.kind, beta)
         # A primitive interface consists of primitive signatures only, so a
         # standard signature above one is accepted exactly when it is a
         # sound declassification of it.
-        return _sub_record(delta, sigma2, meths(u1.kind), r2, True, in_flight, depth + 1)
+        return _sub_record(delta, sigma, meths(u1.kind), unfold(u2).methods, True, in_flight)
 
     if isinstance(u1, ObjType) and isinstance(u2, ObjType):
-        alpha, beta = f"%a{depth}", f"%b{depth}"
-        r1 = rename_self_var(u1, alpha).methods
-        r2 = rename_self_var(u2, beta).methods
-        sigma2 = assume_self(sigma, alpha, beta)
-        if _sub_record(delta, sigma2, r1, r2, allow_ig, in_flight, depth + 1):
-            return True
-        # Retry on one-level unfoldings: recovers goals whose left and
-        # right mix folded and unfolded spellings of recursive types.
-        v1, v2 = unfold(u1), unfold(u2)
-        if (canon(v1), canon(v2)) != (canon(u1), canon(u2)):
-            return _sub(delta, sigma, v1, v2, allow_ig, in_flight, depth)
-        return False
+        return _sub_record(delta, sigma, unfold(u1).methods, unfold(u2).methods, allow_ig, in_flight)
 
     # Object type below a primitive kind: no rule.
     return False
@@ -212,16 +207,16 @@ def sub_record(
     allow_ig: bool = False,
 ) -> bool:
     """Width and depth subtyping between two method records."""
-    return _sub_record(delta, sigma, r1, r2, allow_ig, set(), 0)
+    return _sub_record(delta, sigma, r1, r2, allow_ig, set())
 
 
-def _sub_record(delta, sigma, r1, r2, allow_ig, in_flight, depth) -> bool:
+def _sub_record(delta, sigma, r1, r2, allow_ig, in_flight) -> bool:
     left = dict(r1)
     for name, sig2 in r2:
         sig1 = left.get(name)
         if sig1 is None:
             return False
-        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, in_flight, depth):
+        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, in_flight):
             return False
     return True
 
@@ -238,40 +233,40 @@ def sub_sig(
     then contravariant arguments and covariant return; primitive
     signatures are below themselves only (and, under `allow_ig`, below
     sound standard signatures)."""
-    return _sub_sig(delta, sigma, m1, m2, allow_ig, set(), 0)
+    return _sub_sig(delta, sigma, m1, m2, allow_ig, set())
 
 
-def _sub_sig(delta, sigma, m1, m2, allow_ig, in_flight, depth) -> bool:
+def _sub_sig(delta, sigma, m1, m2, allow_ig, in_flight) -> bool:
     if isinstance(m1, PrimSig) and isinstance(m2, PrimSig):
         return m1 == m2
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig):
         if not allow_ig:
             return False
-        return _ig_ok(delta, sigma, m1, m2, in_flight, depth)
+        return _ig_ok(delta, sigma, m1, m2, in_flight)
     if isinstance(m1, GenericSig) and isinstance(m2, PrimSig):
         return False
-    return _sub_generic(delta, sigma, m1, m2, allow_ig, in_flight, depth)
+    return _sub_generic(delta, sigma, m1, m2, allow_ig, in_flight)
 
 
-def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, in_flight, depth) -> bool:
+def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, in_flight) -> bool:
     if len(m1.args) != len(m2.args) or len(m1.tparams) != len(m2.tparams):
         return False
-    m1, m2 = rename_tparams(m1, f"%X{depth}."), rename_tparams(m2, f"%X{depth}.")
+    m1, m2 = rename_tparams(m1, f"%X{len(delta)}."), rename_tparams(m2, f"%X{len(delta)}.")
     inner = dict(delta)
     for tp1, tp2 in zip(m1.tparams, m2.tparams):
         # Bounds of the supertype must lie inside the bounds of the subtype.
-        if not _sub(inner, sigma, tp2.upper, tp1.upper, allow_ig, in_flight, depth):
+        if not _sub(inner, sigma, tp2.upper, tp1.upper, allow_ig, in_flight):
             return False
-        if not _sub(inner, sigma, tp1.lower, tp2.lower, allow_ig, in_flight, depth):
+        if not _sub(inner, sigma, tp1.lower, tp2.lower, allow_ig, in_flight):
             return False
         inner[tp1.name] = (tp2.lower, tp2.upper)
     for a1, a2 in zip(m1.args, m2.args):
-        if not _sub_sectype(inner, sigma, a2, a1, allow_ig, in_flight, depth):
+        if not _sub_sectype(inner, sigma, a2, a1, allow_ig, in_flight):
             return False
-    return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, in_flight, depth)
+    return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, in_flight)
 
 
-def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight, depth) -> bool:
+def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
     """A standard signature declassifying a primitive one: contravariant
     argument safety, covariant return safety, and the signature is sound
     (public primitive arguments or private return)."""
@@ -283,11 +278,11 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight, depth) -> bo
     for kind, arg in zip(prim.arg_kinds, gen.args):
         if not isinstance(arg, Faceted):
             return False
-        if not _sub(inner, sigma, arg.safety, Prim(kind), True, in_flight, depth):
+        if not _sub(inner, sigma, arg.safety, Prim(kind), True, in_flight):
             return False
     if not isinstance(gen.ret, Faceted):
         return False
-    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight, depth):
+    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight):
         return False
     return soundsig(gen)
 
@@ -301,13 +296,13 @@ def sub_sectype(
     allow_ig: bool = False,
 ) -> bool:
     """Pointwise subtyping of the two facets."""
-    return _sub_sectype(delta, sigma, s1, s2, allow_ig, set(), 0)
+    return _sub_sectype(delta, sigma, s1, s2, allow_ig, set())
 
 
-def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight, depth) -> bool:
+def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight) -> bool:
     if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight, depth) and _sub(
-            delta, sigma, s1.decl, s2.decl, allow_ig, in_flight, depth
+        return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight) and _sub(
+            delta, sigma, s1.decl, s2.decl, allow_ig, in_flight
         )
     return s1 == s2
 

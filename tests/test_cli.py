@@ -21,6 +21,14 @@ var password : String<StringEq>
 if password.eq(guess) then "Login Successful" else "Login failed"
 """
 
+RECURSIVE_BOUNDED = """
+type A = Obj(s)[ p<X : Bool .. Top> : s? -> s? ]
+type B = Obj(s)[ p<X : Bool .. Top> : s! -> Top? ]
+var x : A!
+expect illtyped at B!
+x
+"""
+
 
 @pytest.fixture
 def runner():
@@ -69,17 +77,32 @@ class TestCheck:
         res = runner.invoke(main, ["check", f])
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code == 2
-        assert res.output.strip() == "parse error: 2:1: unexpected character '²'"
+        assert res.stderr == "parse error: 2:1: unexpected character '²'\n"
 
     def test_backslash_before_a_line_end_is_one_line_of_error(self, runner, write):
         f = write("escape.gobsec", 'var s : String!\ns.concat("ab\\\n")\n')
-        # `check` reports on stdout, `prni` on stderr; each one line.
-        res = runner.invoke(main, ["check", f])
-        assert res.exit_code == 2
-        assert res.stdout == "parse error: 2:10: unterminated string escape\n"
-        res = runner.invoke(main, ["prni", f, "--seed", "1"])
-        assert res.exit_code == 2
-        assert res.stderr == "parse error: 2:10: unterminated string escape\n"
+        # Every command reports an exit 2 on stderr, in one line.
+        for args in (["check", f], ["run", f, "--input", 's="a"'], ["prni", f, "--seed", "1"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert res.stderr == "parse error: 2:10: unterminated string escape\n"
+        # A JSON payload stays on stdout.
+        res = runner.invoke(main, ["run", f, "--json"])
+        assert res.exit_code == 2 and res.stderr == ""
+        assert json.loads(res.stdout)["outcome"] == "error"
+
+    def test_recursive_subtyping_goal_revisited_under_a_bounded_parameter(self, runner, tmp_path):
+        # Deciding A <: B meets B <: A and then A <: B again, each time one
+        # signature parameter deeper; the revisit must close the loop.
+        (tmp_path / "loop.gobsec").write_text(RECURSIVE_BOUNDED)
+        (tmp_path / "login.gobsec").write_text((corpus_dir() / "login.gobsec").read_text())
+        res = runner.invoke(main, ["check", str(tmp_path / "loop.gobsec")])
+        assert res.exit_code == 1, res.output
+        assert res.stdout.startswith("error [TSub]") and res.stderr == ""
+        res = runner.invoke(main, ["corpus", str(tmp_path), "--seed", "1"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.endswith("2/2 passed\n")
 
     def test_simple_flag(self, runner, write):
         # Simply typed even though security-rejected at Bool!.

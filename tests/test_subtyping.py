@@ -83,10 +83,9 @@ class TestSubType:
 
     def test_width_below_a_recursive_type_spelled_unfolded(self):
         # The right side is `Obj(c)[ m : Unit! -> c! ]` with one layer
-        # written out. Comparing the records meets the self variable `a`
-        # against the object type `Obj(c)`, which no rule relates; the
-        # retry on one-level unfoldings, where `a` is replaced by the whole
-        # left type, succeeds.
+        # written out. The closed records return the whole left type and
+        # `Obj(c)`, which lose `n` and `m`'s unfolding respectively: a goal
+        # between two object types, compared by their closed records again.
         wide = ObjType(
             "a",
             (
@@ -97,6 +96,17 @@ class TestSubType:
         narrow = ObjType("c", (("m", gsig([public(UNIT_T)], public(SelfVar("c")))),))
         spelled_out = ObjType("b", (("m", gsig([public(UNIT_T)], public(narrow))),))
         assert sub_type({}, EMPTY_SIGMA, wide, spelled_out)
+
+    def test_goal_revisited_under_a_bounded_parameter(self):
+        # A <: B needs B <: A for the argument, which needs A <: B again,
+        # each one signature parameter deeper. The revisit is assumed; B's
+        # argument `s!` is not above A's `s?` because `Top` is not below B.
+        s = SelfVar("s")
+        a = ObjType("s", (("p", GenericSig((TParam("X", BOOL, TOP),), (Faceted(s, TOP),), Faceted(s, TOP))),))
+        b = ObjType("s", (("p", GenericSig((TParam("X", BOOL, TOP),), (Faceted(s, s),), Faceted(TOP, TOP))),))
+        assert not sub_type({}, EMPTY_SIGMA, a, b)
+        assert not sub_type({}, EMPTY_SIGMA, a, b, allow_ig=True)
+        assert sub_type({}, EMPTY_SIGMA, a, a) and sub_type({}, EMPTY_SIGMA, b, b)
 
 
 class TestSubRecord:
@@ -219,6 +229,22 @@ class TestProperties:
             for b2, c in related:
                 if b is b2:
                     assert sub_type({}, EMPTY_SIGMA, a, c)
+
+    def test_every_order_terminates_on_random_pairs(self):
+        # The 342nd pair is the one of `test_goal_revisited_under_a_bounded_parameter`,
+        # which recursed without end while goal keys held the whole of delta.
+        from gobsec.algebra import unfold
+
+        def unf(t):
+            return unfold(t) if isinstance(t, ObjType) else t
+
+        rng = random.Random(3)
+        for _ in range(6000):
+            a, b = random_closed_type(rng, 2), random_closed_type(rng, 2)
+            for a1, b1 in ((a, b), (unf(a), b), (a, unf(b))):
+                sub_type({}, EMPTY_SIGMA, a1, b1)
+                sub_type({}, EMPTY_SIGMA, a1, b1, allow_ig=True)
+                simple_sub_type(a1, b1)
 
     def test_termination_on_recursive_mixtures(self):
         from gobsec.algebra import unfold
