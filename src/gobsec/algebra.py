@@ -217,14 +217,6 @@ def unfold(t: DeclType) -> Type:
     raise NotClosed(f"cannot unfold free self variable {t.name}")
 
 
-def unfold_soft(u: DeclType) -> DeclType:
-    """`unfold`, except generic variables pass through unchanged (used by
-    the facet-wise well-formedness check)."""
-    if isinstance(u, TypeVar):
-        return u
-    return unfold(u)
-
-
 # ---------------------------------------------------------------------------
 # Bounds, membership, signatures, intervals
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ Exit codes are a stable contract:
     5  a noninterference counterexample was found
 
 The message of an exit 2 goes to stderr, as do `check`'s well-formedness
-issues; only `check --json` and `run --json` print theirs, as JSON, on
-stdout. Results and type errors go to stdout.
+issues; with --json, `check`, `run` and `prni` print theirs, as JSON, on
+stdout instead (`prni` as `{"error": ..., "verdict": "error"}`), except
+for a bad `GOBSEC_SEED`. Results and type errors go to stdout.
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ def main() -> None:
 
 class _Stop(Exception):
     """A phase failed, and the run stops there. `message` is the one-line
-    reason (a corpus result's detail, the error `run --json` prints); `text`
-    is what a command prints without --json (the message unless it says
-    more); `payload` is what `check --json` prints, and its status ("error"
-    or "type-error") picks exit 2 or 1."""
+    reason (a corpus result's detail; the error `run --json` and `prni
+    --json` print, unless `payload` has one); `text` is what a command
+    prints without --json (the message unless it says more); `payload` is
+    what `check --json` prints, and its status ("error" or "type-error")
+    picks exit 2 or 1."""
 
     def __init__(self, message: str, text: str | None = None, payload: dict | None = None):
         super().__init__(message)
@@ -321,15 +323,15 @@ def _resolve_seed(seed: int | None) -> int | None:
 def cmd_prni(file: str, observe: str | None, pairs: int, substs: int, k: int, fuel: int, seed: int | None, as_json: bool) -> None:
     """Differentially test FILE for noninterference at an observation type."""
     seed = _resolve_seed(seed)
-    if seed is None:
-        click.echo("a seed is required: pass --seed or set GOBSEC_SEED", err=True)
-        sys.exit(EXIT_BAD_INPUT)
     try:
+        if seed is None:
+            raise _Stop("a seed is required: pass --seed or set GOBSEC_SEED")
         prog = _load(file)
         _wf(prog)
         verdict = _prni(prog, PrniConfig(pairs=pairs, substs=substs, k=k, fuel=fuel, seed=seed), observe)
     except _Stop as stop:
-        click.echo(stop.text, err=True)
+        error = (stop.payload or {}).get("error", stop.message)
+        _emit({"verdict": "error", "error": error}, as_json, stop.text, err=True)
         sys.exit(EXIT_BAD_INPUT)
     if as_json:
         click.echo(verdict_to_json(verdict))

@@ -372,8 +372,12 @@ def free_type_vars(x: object) -> frozenset[str]:
 
 def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
     # (free self names, free generic names), built from the children's
-    # cached answers and stored on the node.
-    memo = x.__dict__
+    # cached answers and stored on the node. A non-type, here or nested,
+    # raises GobsecError.
+    try:
+        memo = x.__dict__
+    except AttributeError:
+        raise GobsecError(f"not a type: {x!r}") from None
     out = memo.get("_fv")
     if out is None:
         if isinstance(x, SelfVar):
@@ -396,7 +400,7 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
         elif isinstance(x, (Prim, PrimSig, PrimStar)):
             out = (_NO_NAMES, _NO_NAMES)
         else:
-            raise GobsecError(f"no type variables in {type(x).__name__}")
+            raise GobsecError(f"not a type: {x!r}")
         memo["_fv"] = out
     return out
 
@@ -404,7 +408,10 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
 def _fv_union(xs) -> tuple[frozenset[str], frozenset[str]]:
     selfs = gens = _NO_NAMES
     for x in xs:
-        s, g = x.__dict__.get("_fv") or _fv(x)
+        try:
+            s, g = x.__dict__.get("_fv") or _fv(x)
+        except AttributeError:
+            raise GobsecError(f"not a type: {x!r}") from None
         if s:
             selfs = selfs | s
         if g:

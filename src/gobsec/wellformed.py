@@ -1,23 +1,29 @@
 """Well-formedness of types, faceted security types, and environments.
 
+Scoping is read from the free self and generic names each type node
+caches (`free_self_vars`, `free_type_vars`); no check here walks a type.
 The load-bearing check is on faceted types: after one unfolding, the
 declassification facet must sit above the safety facet in the subtyping
 order extended with sound declassifications of primitive signatures.
-A policy violating that check is rejected with a diagnostic naming the
-offending method and which publicness principle it breaks.
+`sub_type` compares the two facets' closed records (their unfoldings)
+itself, so the facets are passed to it as they are. A policy violating
+that check is rejected with a diagnostic naming the offending method and
+which publicness principle it breaks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
-from .algebra import meths, soundsig, type_equiv, unfold_soft
+from .algebra import meths, soundsig, type_equiv, unfold
 from .subtyping import sub_sig, sub_type
 from .syntax import (
     EMPTY_SIGMA,
     DeclType,
     Faceted,
     GenericSig,
+    GobsecError,
     ObjType,
     Prim,
     PrimSig,
@@ -27,6 +33,7 @@ from .syntax import (
     TermEnv,
     TypeVar,
     TypeVarEnv,
+    free_self_vars,
     free_type_vars,
 )
 
@@ -41,70 +48,34 @@ class WfIssue:
         return f"{self.severity}[{self.code}]: {self.message}"
 
 
-@dataclass(frozen=True)
-class Scope:
-    """Names in scope for a bare type: self variables and generic variables."""
-
-    self_vars: frozenset[str] = frozenset()
-    type_vars: frozenset[str] = frozenset()
-
-    def with_self(self, name: str) -> "Scope":
-        return Scope(self.self_vars | {name}, self.type_vars)
-
-    def with_tvar(self, name: str) -> "Scope":
-        return Scope(self.self_vars, self.type_vars | {name})
-
-
-def scope_of(delta: TypeVarEnv) -> Scope:
-    return Scope(frozenset(), frozenset(delta))
-
-
-def wf_type(scope: Scope, u: DeclType | SecType, issues: list[WfIssue] | None = None) -> bool:
-    """Scoping and shape: every variable bound, method names distinct,
-    bounds well-formed in the extended scope."""
+def wf_type(tvars: Collection[str], u: DeclType | SecType, issues: list[WfIssue] | None = None) -> bool:
+    """Scoping: every self variable of `u` bound by an enclosing object
+    type, every generic variable by an enclosing signature parameter or in
+    `tvars`. Read from the free names the node caches, under these binder
+    rules: a self binder scopes over its methods; a signature parameter
+    over the later parameters' bounds, the arguments and the return, not
+    its own bounds. One issue per unbound name, in sorted order. A
+    `BadType` is a non-type at the top, or a nested node that is neither
+    a type nor a signature."""
     sink: list[WfIssue] = [] if issues is None else issues
-    before = len(sink)
-    _wf_type(scope, u, sink)
-    return len(sink) == before
-
-
-def _wf_type(scope: Scope, u, sink: list[WfIssue]) -> None:
-    if isinstance(u, Prim):
-        return
-    if isinstance(u, SelfVar):
-        if u.name not in scope.self_vars:
-            sink.append(WfIssue("error", "UnboundSelfVar", f"self type variable {u.name} is not bound"))
-        return
-    if isinstance(u, TypeVar):
-        if u.name not in scope.type_vars:
-            sink.append(WfIssue("error", "UnboundTypeVar", f"type variable {u.name} is not bound"))
-        return
-    if isinstance(u, ObjType):
-        inner = scope.with_self(u.self_var)
-        for name, sig in u.methods:
-            if isinstance(sig, PrimSig):
-                continue
-            sig_scope = inner
-            for tp in sig.tparams:
-                _wf_type(sig_scope, tp.lower, sink)
-                _wf_type(sig_scope, tp.upper, sink)
-                sig_scope = sig_scope.with_tvar(tp.name)
-            for a in sig.args:
-                _wf_type(sig_scope, a, sink)
-            _wf_type(sig_scope, sig.ret, sink)
-        return
-    if isinstance(u, Faceted):
-        _wf_type(scope, u.safety, sink)
-        _wf_type(scope, u.decl, sink)
-        return
-    if isinstance(u, PrimStar):
-        return
-    sink.append(WfIssue("error", "BadType", f"not a type: {u!r}"))
+    try:
+        if not isinstance(u, (Prim, SelfVar, TypeVar, ObjType, Faceted, PrimStar)):
+            raise GobsecError(f"not a type: {u!r}")
+        selfs, gens = free_self_vars(u), free_type_vars(u).difference(tvars)
+    except GobsecError as ex:
+        sink.append(WfIssue("error", "BadType", str(ex)))
+        return False
+    for name in sorted(selfs):
+        sink.append(WfIssue("error", "UnboundSelfVar", f"self type variable {name} is not bound"))
+    for name in sorted(gens):
+        sink.append(WfIssue("error", "UnboundTypeVar", f"type variable {name} is not bound"))
+    return not selfs and not gens
 
 
 def wf_sectype(delta: TypeVarEnv, s: SecType, issues: list[WfIssue] | None = None) -> bool:
-    """Both facets well-formed and the declassification facet admissible:
-    after unfolding, every method it exposes is matched in the safety
+    """Both facets scoped under `delta` (see `wf_type`) and the
+    declassification facet admissible: in the closed records that
+    `sub_type` compares, every method it exposes is matched in the safety
     facet by a subtype signature, where a primitive signature may also be
     declassified by an identical primitive signature or a sound standard
     signature."""
@@ -115,19 +86,16 @@ def wf_sectype(delta: TypeVarEnv, s: SecType, issues: list[WfIssue] | None = Non
     if not isinstance(s, Faceted):
         sink.append(WfIssue("error", "BadType", f"not a security type: {s!r}"))
         return False
-    scope = scope_of(delta)
-    _wf_type(scope, s.safety, sink)
-    _wf_type(scope, s.decl, sink)
+    wf_type(delta, s.safety, sink)
+    wf_type(delta, s.decl, sink)
     if len(sink) > before:
         return False
     if isinstance(s.safety, TypeVar):
         sink.append(WfIssue("error", "BadType", "safety facet cannot be a generic variable"))
         return False
-    t = unfold_soft(s.safety)
-    u = unfold_soft(s.decl)
-    if sub_type(delta, EMPTY_SIGMA, t, u, allow_ig=True):
+    if sub_type(delta, EMPTY_SIGMA, s.safety, s.decl, allow_ig=True):
         return True
-    _explain_facets(delta, t, u, sink)
+    _explain_facets(delta, s.safety, s.decl, sink)
     if len(sink) == before:
         sink.append(WfIssue("error", "FacetMismatch", "declassification facet is not a supertype of the safety facet"))
     return False
@@ -152,10 +120,10 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
     if isinstance(t, Prim):
         safety_record = dict(meths(t.kind))
     elif isinstance(t, ObjType):
-        safety_record = dict(t.methods)
+        safety_record = dict(unfold(t).methods)
     else:
         return
-    for name, usig in u.methods:
+    for name, usig in unfold(u).methods:
         tsig = safety_record.get(name)
         if tsig is None:
             sink.append(
@@ -188,35 +156,19 @@ def _has_nonpublic_prim_arg(sig: GenericSig) -> bool:
 
 
 def wf_tvar_env(delta: TypeVarEnv, issues: list[WfIssue] | None = None) -> bool:
-    """Each bound well-formed under the preceding entries; the bound
-    reference graph acyclic. An empty interval (lower not below upper) is
-    only a warning: nothing requires it, it merely makes the variable
-    uninstantiable."""
+    """Each bound well-formed under the preceding entries, so bounds are
+    acyclic: a cycle needs some bound that names a later variable. An
+    empty interval (lower not below upper) is only a warning: nothing
+    requires it, it merely makes the variable uninstantiable."""
     sink: list[WfIssue] = [] if issues is None else issues
     before = len(sink)
     seen: set[str] = set()
     for name, (lo, hi) in delta.items():
-        scope = Scope(frozenset(), frozenset(seen))
         for side, bound in (("lower", lo), ("upper", hi)):
             probe: list[WfIssue] = []
-            if not wf_type(scope, bound, probe):
-                for p in probe:
-                    sink.append(WfIssue("error", "IllFormedBound", f"{side} bound of {name}: {p.message}"))
+            wf_type(seen, bound, probe)
+            sink.extend(WfIssue("error", "IllFormedBound", f"{side} bound of {name}: {p.message}") for p in probe)
         seen.add(name)
-    # Defensive cycle check for environments built outside the prefix rule.
-    for name in delta:
-        chain: set[str] = set()
-        cur = name
-        while True:
-            chain.add(cur)
-            hi = delta[cur][1]
-            if isinstance(hi, TypeVar) and hi.name in delta:
-                if hi.name in chain:
-                    sink.append(WfIssue("error", "CyclicBounds", f"cycle through type variable {hi.name}"))
-                    break
-                cur = hi.name
-            else:
-                break
     if len(sink) > before:
         return False
     for name, (lo, hi) in delta.items():
@@ -234,10 +186,6 @@ def wf_term_env(delta: TypeVarEnv, gamma: TermEnv, issues: list[WfIssue] | None 
     ok = True
     for name, s in gamma.items():
         probe: list[WfIssue] = []
-        if not wf_sectype(delta, s, probe):
-            ok = False
-            for p in probe:
-                sink.append(WfIssue(p.severity, p.code, f"variable {name}: {p.message}"))
-        else:
-            sink.extend(probe)
+        ok &= wf_sectype(delta, s, probe)
+        sink.extend(WfIssue(p.severity, p.code, f"variable {name}: {p.message}") for p in probe)
     return ok

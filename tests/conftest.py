@@ -56,6 +56,31 @@ def policies():
 
 
 # ---------------------------------------------------------------------------
+# The depth-2 universe
+# ---------------------------------------------------------------------------
+
+
+def depth2_universe():
+    """Exhaustive closed alias-free types of nesting depth <= 2 over the
+    method alphabet {m, n} and primitive alphabet {Int, String}: the
+    primitives, the empty interface, and every object type whose
+    signatures draw argument/return from {Int!, s!, Top!} (s the self
+    variable) plus the two primitive signatures."""
+    alpha = SelfVar("s")
+    sps = [public(INT), Faceted(alpha, alpha), public(TOP)]
+    sigs = [GenericSig((), (a,), r) for a in sps for r in sps]
+    sigs += [PrimSig(("Int",), "Int"), PrimSig(("String",), "Int")]
+    universe = [INT, STRING, TOP]
+    for s1 in sigs:
+        universe.append(ObjType("s", (("m", s1),)))
+        universe.append(ObjType("s", (("n", s1),)))
+    for s1 in sigs:
+        for s2 in sigs:
+            universe.append(ObjType("s", (("m", s1), ("n", s2))))
+    return universe
+
+
+# ---------------------------------------------------------------------------
 # Random closed types
 # ---------------------------------------------------------------------------
 

@@ -59,6 +59,7 @@ from conftest import (
     STRING_EQ_BAD,
     STRING_LEN,
     UNIT_T,
+    depth2_universe,
     gsig,
     random_closed_type,
 )
@@ -168,26 +169,6 @@ def test_criterion_3_differential_corpus():
 # ---------------------------------------------------------------------------
 
 
-def _universe():
-    """Exhaustive closed alias-free types of nesting depth <= 2 over the
-    method alphabet {m, n} and primitive alphabet {Int, String}: the
-    primitives, the empty interface, and every object type whose
-    signatures draw argument/return from {Int!, s!, Top!} (s the self
-    variable) plus the two primitive signatures."""
-    alpha = SelfVar("s")
-    sps = [public(INT), Faceted(alpha, alpha), public(TOP)]
-    sigs = [GenericSig((), (a,), r) for a in sps for r in sps]
-    sigs += [PrimSig(("Int",), "Int"), PrimSig(("String",), "Int")]
-    universe = [INT, STRING, TOP]
-    for s1 in sigs:
-        universe.append(ObjType("s", (("m", s1),)))
-        universe.append(ObjType("s", (("n", s1),)))
-    for s1 in sigs:
-        for s2 in sigs:
-            universe.append(ObjType("s", (("m", s1), ("n", s2))))
-    return universe
-
-
 def _mentions_recursion(t) -> bool:
     return isinstance(t, ObjType) and any(
         free_self_vars(ObjType("x", ((m, s),))) for m, s in t.methods
@@ -196,7 +177,7 @@ def _mentions_recursion(t) -> bool:
 
 def test_criterion_4_oracle_agreement():
     t0 = time.monotonic()
-    universe = _universe()
+    universe = depth2_universe()
     nodes = list(universe)
     seen = {canon(t) for t in universe}
     for t in universe:

@@ -221,8 +221,31 @@ class TestPrniCommand:
     def test_ill_formed_environment_exit_2(self, runner, name, message):
         res = runner.invoke(main, ["prni", str(corpus_dir() / name), "--seed", "1", "--pairs", "25", "--json"])
         assert res.exit_code == 2
-        assert res.stdout == ""
-        assert res.stderr.startswith(f"ill-formed environment: {message}")
+        assert res.stderr == ""
+        payload = json.loads(res.stdout)
+        assert set(payload) == {"error", "verdict"} and payload["verdict"] == "error"
+        assert payload["error"].startswith(f"ill-formed environment: {message}")
+
+    def test_json_error_on_stdout(self, runner, write, monkeypatch):
+        # Every exit 2 of `prni --json` prints one JSON line on stdout and
+        # nothing on stderr: a missing seed, a parse error (the error that
+        # `run --json` prints), a bad --observe.
+        monkeypatch.delenv("GOBSEC_SEED", raising=False)
+        login = write("login.gobsec", LOGIN)
+        bad = write("bad.gobsec", "var x : String!\n")
+        parse_error = json.loads(runner.invoke(main, ["run", bad, "--json"]).stdout)["error"]
+        cases = [
+            ([login], "a seed is required: pass --seed or set GOBSEC_SEED"),
+            ([bad, "--seed", "1"], parse_error),
+            ([login, "--seed", "1", "--observe", "String<"], "bad --observe: "),
+        ]
+        for args, message in cases:
+            res = runner.invoke(main, ["prni", *args, "--json"])
+            assert res.exit_code == 2
+            assert res.stderr == ""
+            assert res.stdout.count("\n") == 1
+            payload = json.loads(res.stdout)
+            assert payload["verdict"] == "error" and payload["error"].startswith(message)
 
     def test_ill_formed_observation_exit_2(self, runner):
         # Int is not above String, so `String<Int>` relates no pair the

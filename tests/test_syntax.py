@@ -193,6 +193,12 @@ class TestSubstSelfVar:
         with pytest.raises(GobsecError):
             subst_self_var(Var("x"), STRING_LEN, "al")
 
+    def test_node_without_a_dict_is_rejected(self):
+        # None, at the top or nested, is a GobsecError, not an AttributeError.
+        for x in (None, Faceted(Prim("Int"), None), ObjType("a", (("m", None),))):
+            with pytest.raises(GobsecError, match="not a type: None"):
+                free_type_vars(x)
+
     def test_unfolding_is_equivalent(self):
         from gobsec.algebra import type_equiv, unfold
 

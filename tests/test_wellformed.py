@@ -1,6 +1,9 @@
 """Well-formedness of types, faceted types, and environments."""
 
+from gobsec.algebra import unfold
+from gobsec.subtyping import sub_type
 from gobsec.syntax import (
+    EMPTY_SIGMA,
     TOP,
     Faceted,
     GenericSig,
@@ -10,7 +13,7 @@ from gobsec.syntax import (
     TypeVar,
     public,
 )
-from gobsec.wellformed import Scope, wf_sectype, wf_term_env, wf_tvar_env, wf_type
+from gobsec.wellformed import wf_sectype, wf_term_env, wf_tvar_env, wf_type
 
 from conftest import (
     BOOL,
@@ -21,13 +24,14 @@ from conftest import (
     STRING_EQ_POLY,
     STRING_LEN,
     UNIT_T,
+    depth2_universe,
     gsig,
 )
 
 
 class TestWfType:
     def test_top(self):
-        assert wf_type(Scope(), TOP)
+        assert wf_type((), TOP)
 
     def test_binders_in_scope(self):
         sv = SelfVar("al")
@@ -35,19 +39,36 @@ class TestWfType:
             "al",
             (("m", GenericSig((TParam("X", sv, TOP),), (Faceted(sv, sv),), Faceted(sv, sv))),),
         )
-        assert wf_type(Scope(), t)
+        assert wf_type((), t)
 
     def test_unbound_self_variable(self):
-        assert not wf_type(Scope(), SelfVar("al"))
+        assert not wf_type((), SelfVar("al"))
 
     def test_unbound_generic_variable(self):
         issues = []
-        assert not wf_type(Scope(), Faceted(STRING, TypeVar("X")), issues)
+        assert not wf_type((), Faceted(STRING, TypeVar("X")), issues)
         assert any(i.code == "UnboundTypeVar" for i in issues)
 
     def test_parameter_not_in_scope_for_own_bounds(self):
         sig = GenericSig((TParam("X", TypeVar("X"), TOP),), (public(STRING),), public(STRING))
-        assert not wf_type(Scope(), ObjType("a", (("m", sig),)))
+        assert not wf_type((), ObjType("a", (("m", sig),)))
+
+    def test_one_issue_per_unbound_name_in_sorted_order(self):
+        y = public(TypeVar("Y"))
+        t = ObjType("a", (("m", gsig([y, Faceted(TypeVar("X"), TOP)], y)),))
+        issues = []
+        assert not wf_type((), t, issues)
+        assert [(i.code, i.message) for i in issues] == [
+            ("UnboundTypeVar", "type variable X is not bound"),
+            ("UnboundTypeVar", "type variable Y is not bound"),
+        ]
+        assert wf_type(("X", "Y"), t)
+
+    def test_nested_non_type_is_bad_type(self):
+        for check in (lambda s, i: wf_type((), s, i), lambda s, i: wf_sectype({}, s, i)):
+            issues = []
+            assert not check(Faceted(INT, None), issues)
+            assert [str(i) for i in issues] == ["error[BadType]: not a type: None"]
 
 
 class TestWfSectype:
@@ -87,6 +108,18 @@ class TestWfSectype:
         )
         assert wf_sectype({}, Faceted(lst, lst))
 
+    def test_facet_check_is_subtyping_of_the_unfoldings(self):
+        # Every facet pair of the depth-2 universe: the check is exactly
+        # `sub_type` under IG on the one-level unfoldings.
+        universe = depth2_universe()
+        accepted = 0
+        for a in universe:
+            for b in universe:
+                got = wf_sectype({}, Faceted(a, b))
+                assert got == sub_type({}, EMPTY_SIGMA, unfold(a), unfold(b), allow_ig=True), (a, b)
+                accepted += got
+        assert accepted == 1363
+
 
 class TestFacetStability:
     def test_admissibility_survives_bound_respecting_substitution(self):
@@ -114,6 +147,11 @@ class TestWfEnvs:
     def test_tvar_env_cycle(self):
         issues = []
         assert not wf_tvar_env({"X": (STRING, TypeVar("X"))}, issues)
+
+    def test_two_cycle_rejected(self):
+        issues = []
+        assert not wf_tvar_env({"X": (STRING, TypeVar("Y")), "Y": (STRING, TypeVar("X"))}, issues)
+        assert [i.code for i in issues] == ["IllFormedBound"]
 
     def test_forward_reference_rejected(self):
         issues = []
