@@ -30,7 +30,6 @@ from .prni import (
     PrniConfig,
     Verdict,
     check_related,
-    gen_related_pair,
     prni_test,
     sample_subst,
 )

@@ -35,9 +35,9 @@ primitive leaves and runs the machine. An input type has a template
 (`_Template`): the unrolled object literal of its pair, with a free
 variable at each primitive leaf and the leaf's policy resolved to its
 partition. A trial draws the leaves in the template's order and binds
-them in the closure's environment. Every draw reseeds the verdict's one
-generator (`ProbeContext.reseed`) from a fold of the seed and the draw's
-indices (`_mix`), so it draws what a fresh generator per draw would.
+them in the closure's environment. No generator holds state: a draw's
+path is the fold (`_mix`) of the seed and the draw's indices, and its
+`i`-th random number is `_fold(path, i)`, reduced to the choice it makes.
 An observation type has a probe plan: per method and sampled
 instantiation, the arguments' and result's types, the public arguments,
 the probe call and the plan of the result type (a recursive type's plan
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 import zlib
 from dataclasses import dataclass, field
 
@@ -66,7 +65,6 @@ from .interp import evaluate  # noqa: F401  kept as `prni.evaluate`, which perfb
 from .parser import SourceProgram, pretty_print
 from .syntax import (
     TOP,
-    UNIT,
     DeclType,
     Expr,
     Faceted,
@@ -274,23 +272,25 @@ class _Candidates:
         return cands
 
 
-def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], rng: random.Random) -> dict[str, DeclType]:
-    """One substitution in the relational interpretation of `delta`: for
-    each variable, a closed type within its bounds, drawn uniformly from
-    the bound endpoints and the pool types that fit the interval. Earlier
-    choices substitute into later bounds."""
-    return _sample_subst(delta, _Candidates(pool), rng)
+def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], h: int) -> dict[str, DeclType]:
+    """One substitution in the relational interpretation of `delta`, drawn
+    from the int `h`: for each variable, a closed type within its bounds,
+    drawn uniformly from the bound endpoints and the pool types that fit
+    the interval. Earlier choices substitute into later bounds."""
+    return _sample_subst(delta, _Candidates(pool), h)
 
 
-def _sample_subst(delta: TypeVarEnv, candidates: _Candidates, rng: random.Random) -> dict[str, DeclType]:
+def _sample_subst(delta: TypeVarEnv, candidates: _Candidates, h: int) -> dict[str, DeclType]:
     """`sample_subst` over the intervals' `candidates`, which several draws
-    may share."""
+    may share. The `j`-th variable takes candidate `_fold(h, j)` modulo
+    their number."""
+    index = {name: j for j, name in enumerate(delta)}
 
     def pick(name: str, lo: DeclType, hi: DeclType) -> DeclType:
         cands = candidates(lo, hi)
         if not cands:
             raise EmptyInterval(f"no candidate type lies within the bounds of {name}")
-        return rng.choice(cands)
+        return cands[_fold(h, index[name]) % len(cands)]
 
     return instantiate_tparams([TParam(name, lo, hi) for name, (lo, hi) in delta.items()], pick)
 
@@ -339,29 +339,26 @@ _UNIVERSE: dict[str, tuple] = {
 _LITS: dict[str, dict] = {kind: {v: PrimLit(v, kind) for v in values} for kind, values in _UNIVERSE.items()}
 
 
-def _below(bits, n: int) -> int:
-    """`Random._randbelow(n)`, the draw behind `randint` and `choice`, from
-    the generator's `getrandbits`: the same numbers, with fewer frames."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+#: The literals `_rand_lit` draws, indexed by the random number modulo the
+#: table's length. A string's index `r` gives `r % 5` letters, the base-3
+#: digits of `r // 5`, least significant first: 405 = 5 * 3**4 covers
+#: every digit.
+_DRAWS: dict[str, tuple] = {
+    **{kind: tuple(lits.values()) for kind, lits in _LITS.items()},
+    "String": tuple(
+        _LITS["String"]["".join(_ALPHABET[r // 5 // 3**i % 3] for i in range(r % 5))] for r in range(5 * 3**4)
+    ),
+}
 
 
-def _rand_lit(kind: str, rng: random.Random) -> PrimLit:
-    """A literal of the universe: the `Int` of `randint(0, 9)`, the
-    `String` of `randint(0, 4)` letters of `choice(_ALPHABET)`, the `Bool`
-    of `random() < 0.5`."""
-    lits = _LITS[kind]
-    if kind == "Int":
-        return lits[_below(rng.getrandbits, 10)]
-    if kind == "String":
-        bits = rng.getrandbits
-        return lits["".join([_ALPHABET[_below(bits, 3)] for _ in range(_below(bits, 5))])]
-    if kind == "Bool":
-        return lits[rng.random() < 0.5]
-    return UNIT
+def _rand_lit(kind: str, r: int) -> PrimLit:
+    """The literal of the random number `r`: the `Int` `r % 10`; the `Bool`
+    `r & 1`; the `String` of `r % 5` letters, from the base-3 digits of
+    `r // 5`. For a 64-bit `r`, each literal has, within 2**-56, the chance
+    that `randint(0, 9)`, a fair coin, or `randint(0, 4)` letters of
+    `choice(_ALPHABET)` gives it."""
+    table = _DRAWS[kind]
+    return table[r % len(table)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -445,18 +442,25 @@ class _Template:
         self.names = tuple(names)
         self.specs = tuple(specs)
 
-    def draw(self, rng: random.Random) -> tuple[list[PrimLit], list[PrimLit]]:
-        """Both sides' leaves, drawn in order."""
+    def draw(self, h: int) -> tuple[list[PrimLit], list[PrimLit]]:
+        """Both sides' leaves, drawn in order from the draw's path `h`: its
+        `i`-th random number is `_fold(h, i)`. A leaf takes one number for
+        its first literal and, unless public, the next for its second."""
         leaves1, leaves2 = [], []
+        i = 0
         for kind, classes in self.specs:
-            v1 = _rand_lit(kind, rng)
+            v1 = _rand_lit(kind, _fold(h, i))
+            i += 1
             if classes is _EQUAL:
                 v2 = v1
-            elif classes is _ANY:
-                v2 = _rand_lit(kind, rng)
             else:
-                cls = classes[v1.value]
-                v2 = _LITS[kind][cls[_below(rng.getrandbits, len(cls))]]
+                r = _fold(h, i)
+                i += 1
+                if classes is _ANY:
+                    v2 = _rand_lit(kind, r)
+                else:
+                    cls = classes[v1.value]
+                    v2 = _LITS[kind][cls[r % len(cls)]]
             leaves1.append(v1)
             leaves2.append(v2)
         return leaves1, leaves2
@@ -467,15 +471,6 @@ class _Template:
         if self.term is None:
             return leaves[0]
         return self.term, bind(dict(zip(self.names, leaves)))
-
-
-def gen_related_pair(s: Faceted, k: int, rng: random.Random) -> tuple:
-    """A pair of machine values (literals or closures) related at the
-    closed security type `s` for `k` observation steps, drawn from a fresh
-    template (`_Template`)."""
-    template = _Stage({}).template(s, k)
-    leaves1, leaves2 = template.draw(rng)
-    return template.value(leaves1), template.value(leaves2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +514,18 @@ class _Row:
 
     def args(self, ai: int, v1, v2, k: int, ctx: "ProbeContext", path: int) -> tuple:
         """The arguments of sample `ai` on each side, and their probe key. A
-        non-public argument is a pair from its template at `k - 1`, drawn
-        from the context's generator reseeded by the probe's path (`path`,
-        the fold of the steps above it), the row and the sample."""
+        non-public argument `j` is a pair from its template at `k - 1`,
+        drawn from the fold of the probe's path (`path`, the fold of the
+        steps above it), the row, the sample and `j`."""
         n = len(self.names) - 1
         args1, args2, keys1, keys2 = [None] * n, [None] * n, [None] * n, [None] * n
         for j, kind in self.pubs:
             args1[j] = args2[j] = keys1[j] = keys2[j] = _public_arg(kind, (v1, v2), ai + j)
         if self.gens:
-            arng = ctx.reseed(_mix(*self.salt, ai, h=path))
+            h = _mix(*self.salt, ai, h=path)
             for j, at in self.gens:
                 template = ctx.stage.template(at, k - 1)
-                leaves1, leaves2 = template.draw(arng)
+                leaves1, leaves2 = template.draw(_fold(h, j))
                 args1[j], args2[j] = template.value(leaves1), template.value(leaves2)
                 keys1[j], keys2[j] = tuple(leaves1), tuple(leaves2)
         return args1, args2, (tuple(keys1), tuple(keys2))
@@ -685,27 +680,17 @@ class _Stage:
 
 @dataclass
 class ProbeContext:
+    """The probe seed and budget of one relatedness check, and the types'
+    templates and plans (`stage`) of every check made in the context. It
+    holds no generator: each draw is a function of the seed and its path."""
+
     pool: dict[str, DeclType] = field(default_factory=dict)
     seed: int = 0
     budget: int = PROBE_BUDGET
-    # The templates and plans of the checks made in this context.
     stage: _Stage = field(init=False, repr=False)
-    # The one generator of the draws made in this context (`reseed`).
-    rng: random.Random = field(init=False, repr=False)
-    _seed: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.stage = _Stage(self.pool)
-        self.rng = random.Random(0)
-        # What `Random.seed` does with an int, without its type checks:
-        # seed the underlying Mersenne Twister.
-        self._seed = super(random.Random, self.rng).seed
-
-    def reseed(self, h: int) -> random.Random:
-        """The context's generator, reseeded to the int `h`: it draws what
-        `random.Random(h)` would."""
-        self._seed(h)
-        return self.rng
 
 
 def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, list[Observation] | None]:
@@ -822,10 +807,10 @@ def prni_test(
     if pool is None:
         pool = default_pool(program)
     # One context for the whole verdict, so its templates and plans are
-    # built once and one generator makes every draw; each trial gets its
-    # own probe seed and budget. Every draw reseeds the generator from the
-    # seed's fold with a constant (`_mix`, folded once here) and the draw's
-    # indices: substitution `i`, input `xi` of a trial, a probe's path.
+    # built once; each trial gets its own probe seed and budget. Every draw
+    # is a function of the seed's fold with a constant (`_mix`, folded once
+    # here) and the draw's indices: substitution `i`, input `xi` of a
+    # trial, a probe's path.
     ctx = ProbeContext(pool=pool)
     subst_seed, pair_seed, check_seed = (_mix(config.seed, part) for part in ("subst", "pair", "check"))
     delta = dict(program.tvars)
@@ -833,7 +818,7 @@ def prni_test(
     body = program.body
 
     def draw_subst(i: int) -> dict[str, DeclType]:
-        return _sample_subst(delta, ctx.stage.candidates, ctx.reseed(_fold(subst_seed, i)))
+        return _sample_subst(delta, ctx.stage.candidates, _fold(subst_seed, i))
 
     n_substs = max(1, config.substs) if delta else 1
     substs = [draw_subst(i) if delta else {} for i in range(n_substs)]
@@ -873,7 +858,7 @@ def prni_test(
         drawn = []
         for xi, sx in enumerate(sxs):
             template = ctx.stage.template(sx, config.k)
-            drawn.append((template, *template.draw(ctx.reseed(_fold(trial_seed, xi)))))
+            drawn.append((template, *template.draw(_fold(trial_seed, xi))))
         gamma1 = {x: t.value(leaves1) for x, (t, leaves1, _) in zip(gamma, drawn)}
         r1 = run_machine(sbody, bind(gamma1), config.fuel)
         if all(leaves1 == leaves2 for _, leaves1, leaves2 in drawn):

@@ -373,7 +373,7 @@ def free_type_vars(x: object) -> frozenset[str]:
 def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
     # (free self names, free generic names), built from the children's
     # cached answers and stored on the node. A non-type, here or nested,
-    # raises GobsecError.
+    # raises GobsecError, and so does a signature where a type belongs.
     try:
         memo = x.__dict__
     except AttributeError:
@@ -388,21 +388,30 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
             selfs, gens = _fv_union(s for _, s in x.methods)
             out = (selfs - {x.self_var}, gens)
         elif isinstance(x, GenericSig):
-            selfs, gens = _fv_union((*x.args, x.ret))
+            selfs, gens = _fv_types((*x.args, x.ret))
             # Walk the parameters backwards: each binds in what follows it,
             # but not in its own bounds.
             for tp in reversed(x.tparams):
-                bs, bg = _fv_union((tp.lower, tp.upper))
+                bs, bg = _fv_types((tp.lower, tp.upper))
                 selfs, gens = selfs | bs, (gens - {tp.name}) | bg
             out = (selfs, gens)
         elif isinstance(x, Faceted):
-            out = _fv_union((x.safety, x.decl))
+            out = _fv_types((x.safety, x.decl))
         elif isinstance(x, (Prim, PrimSig, PrimStar)):
             out = (_NO_NAMES, _NO_NAMES)
         else:
             raise GobsecError(f"not a type: {x!r}")
         memo["_fv"] = out
     return out
+
+
+def _fv_types(xs: tuple) -> tuple[frozenset[str], frozenset[str]]:
+    """`_fv_union` of nodes in type positions: a facet, a bound, an
+    argument or a return type. A signature there is not a type."""
+    for x in xs:
+        if isinstance(x, (PrimSig, GenericSig)):
+            raise GobsecError(f"not a type: {x!r}")
+    return _fv_union(xs)
 
 
 def _fv_union(xs) -> tuple[frozenset[str], frozenset[str]]:

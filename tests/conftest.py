@@ -1,4 +1,5 @@
-"""Shared fixtures: the standard policy types and a random type generator."""
+"""Shared fixtures: the standard policy types, a random type generator and
+related-pair draws."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+from gobsec.prni import _Stage
 from gobsec.syntax import (
     TOP,
     Faceted,
@@ -19,6 +21,14 @@ from gobsec.syntax import (
 )
 
 INT, STRING, BOOL, UNIT_T = Prim("Int"), Prim("String"), Prim("Bool"), Prim("Unit")
+
+
+def related_pair(s: Faceted, k: int, h: int) -> tuple:
+    """Both machine values of a pair related at `s` for `k` steps, drawn at
+    the path `h` from a fresh template (`prni._Template`)."""
+    template = _Stage({}).template(s, k)
+    leaves1, leaves2 = template.draw(h)
+    return template.value(leaves1), template.value(leaves2)
 
 
 def gsig(args, ret, tparams=()) -> GenericSig:

@@ -27,7 +27,7 @@ from gobsec.interp import (
     theta,
 )
 from gobsec.parser import parse_expr, parse_program, pretty_print
-from gobsec.prni import PROBE_FUEL, default_pool, gen_related_pair, sample_subst
+from gobsec.prni import PROBE_FUEL, _mix, default_pool, sample_subst
 from gobsec.syntax import (
     FALSE,
     UNIT,
@@ -47,7 +47,7 @@ from gobsec.syntax import (
     subst_type_vars_expr,
 )
 
-from conftest import INT, gsig
+from conftest import INT, gsig, related_pair
 
 
 def run(src: str, **inputs):
@@ -204,16 +204,15 @@ def reference(e, fuel):
 
 def corpus_inputs(seeds):
     """Every corpus body, at each seed, with its type variables instantiated,
-    and each side of a `gen_related_pair` of its inputs."""
+    and each side of a related pair of its inputs."""
     for path in sorted(corpus_dir().glob("*.gobsec")):
         prog = parse_program(path.read_text(encoding="utf-8"))
         pool = default_pool(prog)
         for seed in seeds:
-            rng = random.Random(seed)
-            sigma = sample_subst(dict(prog.tvars), pool, rng) if prog.tvars else {}
+            sigma = sample_subst(dict(prog.tvars), pool, _mix(seed, "subst")) if prog.tvars else {}
             body = subst_type_vars_expr(prog.body, sigma)
             pairs = {
-                x: tuple(map(readback, gen_related_pair(subst_type_vars(s, sigma), 6, rng)))
+                x: tuple(map(readback, related_pair(subst_type_vars(s, sigma), 6, _mix(seed, "pair", x))))
                 for x, s in prog.vars.items()
             }
             for side in (0, 1):
@@ -222,7 +221,7 @@ def corpus_inputs(seeds):
 
 def corpus_closures():
     """Every corpus body, four times, with its type variables instantiated
-    and its inputs replaced by each side of a `gen_related_pair`."""
+    and its inputs replaced by each side of a related pair."""
     for name, body, gamma in corpus_inputs(range(4)):
         yield name, subst_term(body, gamma)
 
@@ -417,7 +416,7 @@ class TestMachineValues:
                     if isinstance(ours, Value) and depth < 3:
                         todo.append((ours.expr, depth + 1))
                     probed += 1
-        # The four list bodies return the closures: 660 method probes at
+        # The four list bodies return the closures: 630 method probes at
         # these seeds, fewer than 4 * 20 runs * 4 levels * 3 methods since
         # an empty list's tail diverges.
         assert probed >= 600

@@ -4,6 +4,7 @@ related-pair generation, relatedness probing, and end-to-end verdicts."""
 import random
 import re
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,11 @@ from gobsec.prni import (
     PrniConfig,
     ProbeContext,
     check_related,
-    gen_related_pair,
     prni_test,
     sample_subst,
     verdict_to_json,
 )
-from gobsec.prni import _mix, _rand_lit
+from gobsec.prni import _UNIVERSE, _mix, _rand_lit, _Stage
 from gobsec.syntax import TOP, UNIT, Faceted, Invoke, Prim, PrimLit, TypeVar, canon, subst_term
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     STRING_FST,
     STRING_HASH_EQ,
     STRING_LEN,
+    related_pair,
 )
 
 LEN_CTX = """
@@ -64,49 +65,45 @@ type G = Obj(g)[ get : Unit! -> String! ]
 """
 
 
-def _rng(seed=0):
-    return random.Random(seed)
-
-
 class TestSampleSubst:
     def test_candidates_respect_bounds(self):
         delta = {"X": (STR_FST_LEN, STRING_LEN)}
         pool = {"StrFstLen": STR_FST_LEN, "StringLen": STRING_LEN, "StringEq": STRING_EQ}
         seen = set()
         for seed in range(40):
-            sigma = sample_subst(delta, pool, _rng(seed))
+            sigma = sample_subst(delta, pool, seed)
             seen.add(canon(sigma["X"]))
         assert seen == {canon(STR_FST_LEN), canon(STRING_LEN)}
 
     def test_empty_environment(self):
-        assert sample_subst({}, {}, _rng()) == {}
+        assert sample_subst({}, {}, 0) == {}
 
     def test_singleton_interval(self):
         delta = {"X": (STRING_LEN, STRING_LEN)}
-        sigma = sample_subst(delta, {}, _rng())
+        sigma = sample_subst(delta, {}, 0)
         assert canon(sigma["X"]) == canon(STRING_LEN)
 
     def test_empty_interval_raises(self):
         delta = {"X": (TOP, Prim("String"))}
         with pytest.raises(EmptyInterval):
-            sample_subst(delta, {}, _rng())
+            sample_subst(delta, {}, 0)
 
     def test_earlier_choices_substitute_into_later_bounds(self):
         delta = {"X": (STRING_LEN, TOP), "Y": (TypeVar("X"), TOP)}
         for seed in range(10):
-            sigma = sample_subst(delta, {}, _rng(seed))
+            sigma = sample_subst(delta, {}, seed)
             assert not isinstance(sigma["Y"], TypeVar)
 
 
 class TestGenRelatedPair:
     def test_public_primitives_are_equal(self):
-        v1, v2 = gen_related_pair(Faceted(INT, INT), 6, _rng(1))
+        v1, v2 = related_pair(Faceted(INT, INT), 6, _mix(1))
         assert v1 == v2
 
     def test_private_strings_are_independent(self):
         vals = set()
         for seed in range(30):
-            v1, v2 = gen_related_pair(Faceted(STRING, TOP), 6, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, TOP), 6, _mix(seed))
             vals.add((v1.value, v2.value))
         assert any(a != b for a, b in vals)
 
@@ -115,7 +112,7 @@ class TestGenRelatedPair:
         for s in (Faceted(STRING, STRING_LEN), parse_sectype("String<Obj(a)[ length : Unit<*> -> Int<*> ]>")):
             differing = 0
             for seed in range(50):
-                v1, v2 = gen_related_pair(s, 6, _rng(seed))
+                v1, v2 = related_pair(s, 6, _mix(seed))
                 assert len(v1.value) == len(v2.value)
                 differing += v1.value != v2.value
             assert differing > 0
@@ -123,21 +120,21 @@ class TestGenRelatedPair:
     def test_first_policy_pairs_share_the_first_character(self):
         differing = 0
         for seed in range(50):
-            v1, v2 = gen_related_pair(Faceted(STRING, STRING_FST), 6, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, STRING_FST), 6, _mix(seed))
             assert v1.value[:1] == v2.value[:1]
             differing += v1.value != v2.value
         assert differing > 0
 
     def test_first_and_length_policy(self):
         for seed in range(50):
-            v1, v2 = gen_related_pair(Faceted(STRING, STR_FST_LEN), 6, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, STR_FST_LEN), 6, _mix(seed))
             assert len(v1.value) == len(v2.value)
             assert v1.value[:1] == v2.value[:1]
 
     def test_equality_policy_pairs_are_equal(self):
         # Every string is a class of its own at an equality policy.
         for seed in range(40):
-            v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), 6, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, STRING_EQ), 6, _mix(seed))
             assert v1 == v2
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -146,19 +143,19 @@ class TestGenRelatedPair:
         # does not depend on k: a list's deep elements, generated at such
         # depths, are still equal at an equality policy.
         for seed in range(200):
-            v1, v2 = gen_related_pair(Faceted(STRING, STRING_EQ), k, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, STRING_EQ), k, _mix(seed))
             assert v1 == v2
 
     def test_hash_policy_pairs_are_equal(self):
         for seed in range(40):
-            v1, v2 = gen_related_pair(Faceted(STRING, STRING_HASH_EQ), 6, _rng(seed))
+            v1, v2 = related_pair(Faceted(STRING, STRING_HASH_EQ), 6, _mix(seed))
             assert v1 == v2
 
     def test_object_pairs_follow_the_policy(self):
         s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
         peeks_differ = False
         for seed in range(20):
-            v1, v2 = map(readback, gen_related_pair(s, 6, _rng(seed)))
+            v1, v2 = map(readback, related_pair(s, 6, _mix(seed)))
             get1, get2 = (evaluate(Invoke(v, "get", (), (UNIT,))).expr for v in (v1, v2))
             assert get1 == get2
             peek1, peek2 = (evaluate(Invoke(v, "peek", (), (UNIT,))).expr for v in (v1, v2))
@@ -167,7 +164,7 @@ class TestGenRelatedPair:
 
     def test_object_pairs_diverge_at_step_zero(self):
         s = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
-        for v in map(readback, gen_related_pair(s, 0, _rng())):
+        for v in map(readback, related_pair(s, 0, _mix(0))):
             for m in ("get", "peek"):
                 assert isinstance(evaluate(Invoke(v, m, (), (UNIT,)), 100), Timeout)
 
@@ -216,7 +213,7 @@ class TestPartition:
             for a in cls:
                 for b in cls:
                     assert a == b or self.related(kind, u, a, b), (a, b)
-        rng = _rng(len(classes))
+        rng = random.Random(len(classes))
         for _ in range(50):
             c1, c2 = rng.sample(classes, 2)
             a, b = rng.choice(c1), rng.choice(c2)
@@ -314,7 +311,7 @@ class TestPrniTest:
         assert isinstance(bad, Counterexample)
 
     @pytest.mark.parametrize(
-        "name, observe, seed", [("leak_first", "String!", 1627786250), ("subject_fst", "String<StringFst>", 1809123342)]
+        "name, observe, seed", [("leak_first", "String!", 123), ("subject_fst", "String<StringFst>", 2020)]
     )
     def test_substitutions_that_all_agree_are_redrawn(self, name, observe, seed):
         # At these seeds all ten draws of X in `StrFstLen .. StringLen` are
@@ -377,12 +374,12 @@ class TestPrniTest:
         assert isinstance(v, NoCounterexample)
 
     def test_deep_list_elements_stay_related(self):
-        # At this seed an element four levels down is a pair of strings at
-        # `StringEq`, generated at step index 1 or less; unless such a pair
-        # is equal whatever its depth, membership testing tells the two
-        # lists apart.
+        # At this seed, list heads at `StringEq` drawn at step index 1 or
+        # less reach the membership test; unless such a pair is equal
+        # whatever its depth, membership testing tells the two lists apart
+        # (it does when those heads are drawn independently).
         p = parse_program((corpus_dir() / "list_contains.gobsec").read_text(encoding="utf-8"))
-        v = prni_test(p, p.expect.at, PrniConfig(pairs=25, seed=581))
+        v = prni_test(p, p.expect.at, PrniConfig(pairs=25, seed=39))
         assert isinstance(v, NoCounterexample)
 
     @pytest.mark.parametrize("path", INSECURE, ids=lambda p: p.name)
@@ -522,9 +519,9 @@ class TestStagedWork:
 
 
 class TestTrialWork:
-    """A verdict builds one generator and reseeds it for every draw, and a
-    trial whose two sides get equal inputs runs the body once: the machine
-    is deterministic, so both sides share its outcome."""
+    """A verdict builds no random generator: every draw is a function of
+    its path. A trial whose two sides get equal inputs runs the body once:
+    the machine is deterministic, so both sides share its outcome."""
 
     FUEL = 9_999  # the body's fuel, which tells its runs from the probes'
 
@@ -566,7 +563,7 @@ class TestTrialWork:
         ],
     )
     def test_equal_sides_run_the_body_once(self, name, runs):
-        assert self.work(name) == (runs, 1)
+        assert self.work(name) == (runs, 0)
 
 
 def _reference_mix(*parts):
@@ -581,34 +578,97 @@ def _reference_mix(*parts):
     return h
 
 
+# `_Template.draw` at the paths `_mix(0)`, `_mix(1)`, `_mix(2)`: both sides'
+# leaves. `obj` is `O<G>`: `get` (public, one number), then `peek` (at `Top`,
+# two numbers).
+KNOWN_DRAWS = {
+    ("fst_len", 0): (["cbca"], ["caab"]),
+    ("fst_len", 1): (["a"], ["a"]),
+    ("fst_len", 2): (["c"], ["c"]),
+    ("top", 0): (["cbca"], [""]),
+    ("top", 1): (["a"], [""]),
+    ("top", 2): (["c"], ["ac"]),
+    ("obj", 0): (["cbca", ""], ["cbca", ""]),
+    ("obj", 1): (["a", ""], ["a", "aa"]),
+    ("obj", 2): (["c", "ac"], ["c", "c"]),
+}
+
+
+def _reference_lit(kind, r):
+    """`_rand_lit` as specified, digit by digit."""
+    if kind == "Int":
+        return PrimLit(r % 10, kind)
+    if kind == "Bool":
+        return PrimLit(bool(r & 1), kind)
+    q, letters = r // 5, []
+    for _ in range(r % 5):
+        letters.append("abc"[q % 3])
+        q //= 3
+    return PrimLit("".join(letters), kind)
+
+
 class TestStreams:
-    """Every draw gets the numbers it got from a fresh `random.Random` per
-    draw and the generator's own `randint`, `choice` and `random`, so a
-    seed's verdict does not change. Should CPython change how `Random`
-    draws below a bound (`_randbelow`), these tests name the cause."""
+    """A draw's stream of random numbers is `_fold(path, i)` for `i = 0, 1,
+    ...`, each reduced to the choice it makes, and a path continues a fold.
+    Known answers pin the streams, so a change to them shows here before
+    it moves a seeded verdict."""
 
-    SEEDS = range(10_000)
+    NUMBERS = [0, 7, 404, 405, 2**64 - 1, *(_reference_mix(i) for i in (1, 2, 3, 5))]
 
-    def test_literals_are_those_of_the_random_methods(self):
-        for seed in self.SEEDS:
-            ref = random.Random(seed)
-            n = ref.randint(0, 4)
-            string = "".join(ref.choice("abc") for _ in range(n))
-            assert _rand_lit("String", random.Random(seed)) == PrimLit(string, "String")
-            assert _rand_lit("Int", random.Random(seed)) == PrimLit(random.Random(seed).randint(0, 9), "Int")
-            assert _rand_lit("Bool", random.Random(seed)) == PrimLit(random.Random(seed).random() < 0.5, "Bool")
+    def test_literal_known_answers(self):
+        got = [tuple(_rand_lit(kind, r).value for kind in ("Int", "String", "Bool", "Unit")) for r in self.NUMBERS]
+        assert got == [
+            (0, "", False, None),
+            (7, "ba", True, None),
+            (4, "cccc", False, None),
+            (5, "", True, None),
+            (5, "", True, None),
+            (1, "c", True, None),
+            (2, "cb", False, None),
+            (9, "baca", True, None),
+            (3, "bbb", True, None),
+        ]
 
-    def test_a_reseeded_generator_draws_what_a_new_one_draws(self):
+    def test_literals_follow_their_specification(self):
+        for r in [*self.NUMBERS, *range(2000), *(_reference_mix(i) for i in range(2000))]:
+            for kind in ("Int", "String", "Bool"):
+                assert _rand_lit(kind, r) == _reference_lit(kind, r), (kind, r)
+
+    def test_literals_are_exactly_uniform(self):
+        # 405 = 5 * 3**4 numbers: each length 81 times, and each of the 3**n
+        # strings of length n equally often.
+        strings = Counter(_rand_lit("String", r).value for r in range(405))
+        assert set(strings) == set(_UNIVERSE["String"])
+        assert Counter(len(v) for v in strings.elements()) == {n: 81 for n in range(5)}
+        assert all(count == 81 // 3 ** len(v) for v, count in strings.items())
+        assert sorted(_rand_lit("Int", r).value for r in range(10)) == list(range(10))
+        assert sorted(_rand_lit("Bool", r).value for r in range(2)) == [False, True]
+
+    def test_template_known_answers(self):
+        obj = parse_sectype("O<G>", parse_program(OBJ_CTX + "1").aliases)
+        got = {}
+        for name, s in [("fst_len", Faceted(STRING, STR_FST_LEN)), ("top", Faceted(STRING, TOP)), ("obj", obj)]:
+            template = _Stage({}).template(s, 2)
+            for seed in (0, 1, 2):
+                leaves1, leaves2 = template.draw(_mix(seed))
+                got[name, seed] = [v.value for v in leaves1], [v.value for v in leaves2]
+        assert got == KNOWN_DRAWS
+
+    def test_two_arguments_of_one_probe_draw_independently(self):
+        # Both arguments are private strings from the same template; the
+        # path folds in their positions, so they agree only by chance
+        # (about 6% for two strings of the universe), not always.
+        s = parse_sectype("Obj(a)[ m : String? * String? -> Int! ]!")
         ctx = ProbeContext()
-        for seed in [*range(100), 2**64 - 1, _reference_mix(1, "pair", 0, 0)]:
-            rng = ctx.reseed(seed)
-            assert rng is ctx.rng
-            ref = random.Random(seed)
-            assert [rng.random(), rng.getrandbits(3), rng.choice("abc")] == [
-                ref.random(),
-                ref.getrandbits(3),
-                ref.choice("abc"),
-            ]
+        (row,) = ctx.stage.node(s)
+        assert [j for j, _ in row.gens] == [0, 1]
+        equal = 0
+        for seed in range(200):
+            path = _mix(seed, "args")
+            args1, args2, key = row.args(0, None, None, 6, ctx, path)
+            assert (args1, args2, key) == row.args(0, None, None, 6, ctx, path)
+            equal += args1[0] == args1[1]
+        assert 0 < equal < 30
 
     @pytest.mark.parametrize(
         "parts",

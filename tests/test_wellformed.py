@@ -8,6 +8,7 @@ from gobsec.syntax import (
     Faceted,
     GenericSig,
     ObjType,
+    PrimSig,
     SelfVar,
     TParam,
     TypeVar,
@@ -70,6 +71,27 @@ class TestWfType:
             assert not check(Faceted(INT, None), issues)
             assert [str(i) for i in issues] == ["error[BadType]: not a type: None"]
 
+    def test_signature_where_a_type_belongs_is_bad_type(self):
+        # A signature is a type only as an object's method: not as a facet,
+        # an argument, a result or a bound.
+        psig = PrimSig(("Int",), "Int")
+        bad = f"error[BadType]: not a type: {psig!r}"
+        arg = ObjType("a", (("m", GenericSig((), (psig,), public(INT))),))
+        issues = []
+        assert not wf_sectype({}, Faceted(arg, arg), issues)
+        assert [str(i) for i in issues] == [bad, bad]
+        for t in (
+            ObjType("a", (("m", GenericSig((), (), psig)),)),
+            ObjType("a", (("m", GenericSig((TParam("X", psig, TOP),), (), public(INT))),)),
+            Faceted(INT, psig),
+            Faceted(gsig([], public(INT)), TOP),
+        ):
+            issues = []
+            assert not wf_type((), t, issues)
+            assert [i.code for i in issues] == ["BadType"]
+        # As a method, a primitive signature is well formed.
+        assert wf_type((), ObjType("a", (("m", psig),)))
+
 
 class TestWfSectype:
     def test_length_policy_on_string(self):
@@ -125,8 +147,6 @@ class TestFacetStability:
     def test_admissibility_survives_bound_respecting_substitution(self):
         # A well-formed faceted type stays well-formed under every sampled
         # substitution within the variable's bounds.
-        import random
-
         from gobsec.prni import sample_subst
         from gobsec.syntax import subst_type_vars
 
@@ -135,7 +155,7 @@ class TestFacetStability:
         assert wf_sectype(delta, s)
         pool = {"StrFstLen": STR_FST_LEN, "StringLen": STRING_LEN, "Top": TOP}
         for seed in range(25):
-            sigma = sample_subst(delta, pool, random.Random(seed))
+            sigma = sample_subst(delta, pool, seed)
             inst = subst_type_vars(s, sigma)
             assert wf_sectype({}, inst)
 
