@@ -51,7 +51,6 @@ from .syntax import (
     Prim,
     PrimLit,
     PrimSig,
-    SecType,
     SelfVar,
     TParam,
     TypeVar,

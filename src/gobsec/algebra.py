@@ -180,10 +180,8 @@ def rename_tparams(sig: GenericSig, prefix: str) -> GenericSig:
     )
 
 
-def _equiv_sec(s1, s2, assumed: frozenset) -> bool:
-    if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        return _equiv(s1.safety, s2.safety, assumed) and _equiv(s1.decl, s2.decl, assumed)
-    return s1 == s2
+def _equiv_sec(s1: Faceted, s2: Faceted, assumed: frozenset) -> bool:
+    return _equiv(s1.safety, s2.safety, assumed) and _equiv(s1.decl, s2.decl, assumed)
 
 
 def sectype_equiv(s1: Faceted, s2: Faceted) -> bool:
@@ -299,10 +297,9 @@ def soundsig(sig: GenericSig) -> bool:
     """Whether a standard signature may declassify a primitive one:
     every primitive-safety argument is public, or the return
     declassification is the empty interface."""
-    if isinstance(sig.ret, Faceted) and is_top(sig.ret.decl):
+    if is_top(sig.ret.decl):
         return True
     for a in sig.args:
-        if isinstance(a, Faceted) and isinstance(a.safety, Prim):
-            if not type_equiv(a.safety, a.decl):
-                return False
+        if isinstance(a.safety, Prim) and not type_equiv(a.safety, a.decl):
+            return False
     return True

@@ -306,7 +306,7 @@ def _resolve_seed(seed: int | None) -> int | None:
 
 @main.command("prni")
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--observe", "observe", default=None, metavar="SECTYPE", help="Observation type (defaults to the synthesized type of the body).")
+@click.option("--observe", "observe", default=None, metavar="SECTYPE", help="Observation type (defaults to `expect ... at`, else the synthesized type of the body).")
 @click.option("--pairs", default=1000, show_default=True, type=POSITIVE)
 @click.option("--substs", default=10, show_default=True, type=POSITIVE)
 @click.option(

@@ -49,7 +49,6 @@ from .syntax import (
     Prim,
     PrimLit,
     PrimSig,
-    PrimStar,
     SelfVar,
     TParam,
     TypeVar,
@@ -677,8 +676,6 @@ def pretty_print(node) -> str:
         return _pp_type(node, {})
     if isinstance(node, Faceted):
         return _pp_sectype(node, {})
-    if isinstance(node, PrimStar):
-        return f"{node.kind}<*>"
     if isinstance(node, (GenericSig, PrimSig)):
         return _pp_sig(node, {})
     return _pp_expr(node, {})
@@ -748,9 +745,7 @@ def _pp_sig(s, env: dict[str, str]) -> str:
     return prefix + body
 
 
-def _pp_sectype(s, env: dict[str, str]) -> str:
-    if isinstance(s, PrimStar):
-        return f"{s.kind}<*>"
+def _pp_sectype(s: Faceted, env: dict[str, str]) -> str:
     safety = _pp_type(s.safety, env)
     if is_top(s.decl):
         return f"{safety}?"

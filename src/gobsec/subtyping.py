@@ -49,7 +49,6 @@ from .syntax import (
     ObjType,
     Prim,
     PrimSig,
-    SecType,
     SelfVar,
     SubAssumptions,
     TypeVar,
@@ -276,12 +275,8 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
     for tp in gen.tparams:
         inner[tp.name] = (tp.lower, tp.upper)
     for kind, arg in zip(prim.arg_kinds, gen.args):
-        if not isinstance(arg, Faceted):
-            return False
         if not _sub(inner, sigma, arg.safety, Prim(kind), True, in_flight):
             return False
-    if not isinstance(gen.ret, Faceted):
-        return False
     if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight):
         return False
     return soundsig(gen)
@@ -290,8 +285,8 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
 def sub_sectype(
     delta: TypeVarEnv,
     sigma: SubAssumptions,
-    s1: SecType,
-    s2: SecType,
+    s1: Faceted,
+    s2: Faceted,
     *,
     allow_ig: bool = False,
 ) -> bool:
@@ -300,11 +295,9 @@ def sub_sectype(
 
 
 def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight) -> bool:
-    if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight) and _sub(
-            delta, sigma, s1.decl, s2.decl, allow_ig, in_flight
-        )
-    return s1 == s2
+    return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight) and _sub(
+        delta, sigma, s1.decl, s2.decl, allow_ig, in_flight
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +465,13 @@ def _derive_record(delta, sigma, r1, r2, budget, pool, memo, ig: bool = False) -
 
 def _derive_sig(delta, sigma, m1, m2, budget, pool, memo, ig: bool = False) -> tuple[bool, bool]:
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig) and ig:
-        if len(m2.args) != len(m1.arg_kinds) or not isinstance(m2.ret, Faceted):
+        if len(m2.args) != len(m1.arg_kinds):
             return False, False
         inner = dict(delta)
         for tp in m2.tparams:
             inner[tp.name] = (tp.lower, tp.upper)
         truncated = False
         for kind, arg in zip(m1.arg_kinds, m2.args):
-            if not isinstance(arg, Faceted):
-                return False, truncated
             ok, tr = _derive(inner, sigma, arg.safety, Prim(kind), budget, pool, memo)
             truncated |= tr
             if not ok:
@@ -518,10 +509,8 @@ def _derive_sig(delta, sigma, m1, m2, budget, pool, memo, ig: bool = False) -> t
 
 
 def _derive_sectype(delta, sigma, s1, s2, budget, pool, memo) -> tuple[bool, bool]:
-    if isinstance(s1, Faceted) and isinstance(s2, Faceted):
-        ok1, tr1 = _derive(delta, sigma, s1.safety, s2.safety, budget, pool, memo)
-        if not ok1:
-            return False, tr1
-        ok2, tr2 = _derive(delta, sigma, s1.decl, s2.decl, budget, pool, memo)
-        return ok2, tr1 | tr2
-    return s1 == s2, False
+    ok1, tr1 = _derive(delta, sigma, s1.safety, s2.safety, budget, pool, memo)
+    if not ok1:
+        return False, tr1
+    ok2, tr2 = _derive(delta, sigma, s1.decl, s2.decl, budget, pool, memo)
+    return ok2, tr1 | tr2

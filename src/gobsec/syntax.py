@@ -151,8 +151,8 @@ class GenericSig:
     """
 
     tparams: tuple[TParam, ...]
-    args: tuple["SecType", ...]
-    ret: "SecType"
+    args: tuple["Faceted", ...]
+    ret: "Faceted"
 
 
 @dataclass(frozen=True)
@@ -173,20 +173,6 @@ class Faceted:
 
     safety: Type
     decl: DeclType
-
-
-@dataclass(frozen=True)
-class PrimStar:
-    """Use-site-resolved primitive security type `P<*>`.
-
-    Only appears when elaborating primitive signatures (never in
-    checked-in environments or synthesized types).
-    """
-
-    kind: str
-
-
-SecType = Union[Faceted, PrimStar]
 
 
 def public(t: Type) -> Faceted:
@@ -373,7 +359,8 @@ def free_type_vars(x: object) -> frozenset[str]:
 def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
     # (free self names, free generic names), built from the children's
     # cached answers and stored on the node. A non-type, here or nested,
-    # raises GobsecError, and so does a signature where a type belongs.
+    # raises GobsecError, and so does a signature or a security type where
+    # a plain type belongs, or a plain type as an argument or a result.
     try:
         memo = x.__dict__
     except AttributeError:
@@ -388,7 +375,12 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
             selfs, gens = _fv_union(s for _, s in x.methods)
             out = (selfs - {x.self_var}, gens)
         elif isinstance(x, GenericSig):
-            selfs, gens = _fv_types((*x.args, x.ret))
+            ends = (*x.args, x.ret)
+            for a in ends:
+                if not isinstance(a, Faceted):
+                    what = "type" if isinstance(a, (PrimSig, GenericSig)) else "security type"
+                    raise GobsecError(f"not a {what}: {a!r}")
+            selfs, gens = _fv_union(ends)
             # Walk the parameters backwards: each binds in what follows it,
             # but not in its own bounds.
             for tp in reversed(x.tparams):
@@ -397,7 +389,7 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
             out = (selfs, gens)
         elif isinstance(x, Faceted):
             out = _fv_types((x.safety, x.decl))
-        elif isinstance(x, (Prim, PrimSig, PrimStar)):
+        elif isinstance(x, (Prim, PrimSig)):
             out = (_NO_NAMES, _NO_NAMES)
         else:
             raise GobsecError(f"not a type: {x!r}")
@@ -406,10 +398,10 @@ def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def _fv_types(xs: tuple) -> tuple[frozenset[str], frozenset[str]]:
-    """`_fv_union` of nodes in type positions: a facet, a bound, an
-    argument or a return type. A signature there is not a type."""
+    """`_fv_union` of nodes in plain type positions: a facet or a bound.
+    A signature or a security type there is not a type."""
     for x in xs:
-        if isinstance(x, (PrimSig, GenericSig)):
+        if isinstance(x, (PrimSig, GenericSig, Faceted)):
             raise GobsecError(f"not a type: {x!r}")
     return _fv_union(xs)
 
@@ -477,7 +469,7 @@ def _subst(x, selfs: Mapping[str, Type], gens: Mapping[str, DeclType], avoid):
     """
     fs, fg = x.__dict__.get("_fv") or _fv(x)
     if fs.isdisjoint(selfs) and fg.isdisjoint(gens):
-        return x  # always so at Prim, PrimSig, PrimStar
+        return x  # always so at Prim and PrimSig
     if isinstance(x, Faceted):
         return Faceted(_subst(x.safety, selfs, gens, avoid), _subst(x.decl, selfs, gens, avoid))
     if isinstance(x, SelfVar):
@@ -694,8 +686,6 @@ def _canon(x, senv: dict[str, int], genv: dict[str, int]) -> tuple:
         )
     if isinstance(x, Faceted):
         return ("sec", _canon(x.safety, senv, genv), _canon(x.decl, senv, genv))
-    if isinstance(x, PrimStar):
-        return ("pstar", x.kind)
     raise GobsecError(f"cannot canonicalize {type(x).__name__}")
 
 
@@ -767,10 +757,6 @@ def iter_subterms(u: DeclType) -> Iterator[DeclType]:
                 for tp in sig.tparams:
                     yield from iter_subterms(tp.lower)
                     yield from iter_subterms(tp.upper)
-                for a in sig.args:
-                    if isinstance(a, Faceted):
-                        yield from iter_subterms(a.safety)
-                        yield from iter_subterms(a.decl)
-                if isinstance(sig.ret, Faceted):
-                    yield from iter_subterms(sig.ret.safety)
-                    yield from iter_subterms(sig.ret.decl)
+                for a in (*sig.args, sig.ret):
+                    yield from iter_subterms(a.safety)
+                    yield from iter_subterms(a.decl)

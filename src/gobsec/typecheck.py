@@ -317,7 +317,7 @@ def _infer_targs(
     for tp in sig.tparams:
         cands: list[DeclType] = []
         for at, declared in zip(arg_types, sig.args):
-            if isinstance(declared, Faceted) and isinstance(declared.decl, TypeVar) and declared.decl.name == tp.name:
+            if isinstance(declared.decl, TypeVar) and declared.decl.name == tp.name:
                 cands.append(at.decl)
                 break
         cands.append(tp.lower)

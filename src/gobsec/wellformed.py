@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .algebra import meths, soundsig, type_equiv, unfold
+from .algebra import meths, soundsig, unfold
 from .subtyping import sub_sig, sub_type
 from .syntax import (
     EMPTY_SIGMA,
@@ -27,8 +27,6 @@ from .syntax import (
     ObjType,
     Prim,
     PrimSig,
-    PrimStar,
-    SecType,
     SelfVar,
     TermEnv,
     TypeVar,
@@ -48,18 +46,26 @@ class WfIssue:
         return f"{self.severity}[{self.code}]: {self.message}"
 
 
-def wf_type(tvars: Collection[str], u: DeclType | SecType, issues: list[WfIssue] | None = None) -> bool:
+def wf_type(tvars: Collection[str], u: DeclType | Faceted, issues: list[WfIssue] | None = None) -> bool:
     """Scoping: every self variable of `u` bound by an enclosing object
     type, every generic variable by an enclosing signature parameter or in
     `tvars`. Read from the free names the node caches, under these binder
     rules: a self binder scopes over its methods; a signature parameter
     over the later parameters' bounds, the arguments and the return, not
-    its own bounds. One issue per unbound name, in sorted order. A
-    `BadType` is a non-type at the top, or a nested node that is neither
-    a type nor a signature."""
+    its own bounds. One issue per unbound name, in sorted order; a
+    security type `T<U>` is checked facet by facet. A `BadType` is a
+    non-type, a signature or a security type where a plain type belongs
+    (a facet or a bound), or a plain type as an argument or a result."""
     sink: list[WfIssue] = [] if issues is None else issues
+    if isinstance(u, Faceted):
+        return _wf_plain(tvars, u.safety, sink) & _wf_plain(tvars, u.decl, sink)
+    return _wf_plain(tvars, u, sink)
+
+
+def _wf_plain(tvars: Collection[str], u: DeclType, sink: list[WfIssue]) -> bool:
+    """`wf_type` of a plain type: a facet or a bound."""
     try:
-        if not isinstance(u, (Prim, SelfVar, TypeVar, ObjType, Faceted, PrimStar)):
+        if not isinstance(u, (Prim, SelfVar, TypeVar, ObjType)):
             raise GobsecError(f"not a type: {u!r}")
         selfs, gens = free_self_vars(u), free_type_vars(u).difference(tvars)
     except GobsecError as ex:
@@ -72,7 +78,7 @@ def wf_type(tvars: Collection[str], u: DeclType | SecType, issues: list[WfIssue]
     return not selfs and not gens
 
 
-def wf_sectype(delta: TypeVarEnv, s: SecType, issues: list[WfIssue] | None = None) -> bool:
+def wf_sectype(delta: TypeVarEnv, s: Faceted, issues: list[WfIssue] | None = None) -> bool:
     """Both facets scoped under `delta` (see `wf_type`) and the
     declassification facet admissible: in the closed records that
     `sub_type` compares, every method it exposes is matched in the safety
@@ -81,14 +87,10 @@ def wf_sectype(delta: TypeVarEnv, s: SecType, issues: list[WfIssue] | None = Non
     signature."""
     sink: list[WfIssue] = [] if issues is None else issues
     before = len(sink)
-    if isinstance(s, PrimStar):
-        return True
     if not isinstance(s, Faceted):
         sink.append(WfIssue("error", "BadType", f"not a security type: {s!r}"))
         return False
-    wf_type(delta, s.safety, sink)
-    wf_type(delta, s.decl, sink)
-    if len(sink) > before:
+    if not wf_type(delta, s, sink):
         return False
     if isinstance(s.safety, TypeVar):
         sink.append(WfIssue("error", "BadType", "safety facet cannot be a generic variable"))
@@ -117,12 +119,11 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
         return
     if not isinstance(u, ObjType):
         return
+    # A scoped safety facet that is not a variable is a Prim or an ObjType.
     if isinstance(t, Prim):
         safety_record = dict(meths(t.kind))
-    elif isinstance(t, ObjType):
-        safety_record = dict(unfold(t).methods)
     else:
-        return
+        safety_record = dict(unfold(t).methods)
     for name, usig in unfold(u).methods:
         tsig = safety_record.get(name)
         if tsig is None:
@@ -131,12 +132,12 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
             )
             continue
         if isinstance(tsig, PrimSig) and isinstance(usig, GenericSig):
+            # Unsound only with a non-public primitive argument (P1).
             if not soundsig(usig):
-                which = "P1" if _has_nonpublic_prim_arg(usig) else "P2"
                 sink.append(
                     WfIssue(
                         "error",
-                        f"IG/{which}",
+                        "IG/P1",
                         f"method {name}: a standard signature over a primitive must take public "
                         f"primitive arguments or return a private result",
                     )
@@ -146,13 +147,6 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
             sink.append(
                 WfIssue("error", "FacetMismatch", f"method {name}: declassified signature is not above the safety signature")
             )
-
-
-def _has_nonpublic_prim_arg(sig: GenericSig) -> bool:
-    for a in sig.args:
-        if isinstance(a, Faceted) and isinstance(a.safety, Prim) and not type_equiv(a.safety, a.decl):
-            return True
-    return False
 
 
 def wf_tvar_env(delta: TypeVarEnv, issues: list[WfIssue] | None = None) -> bool:
@@ -166,7 +160,7 @@ def wf_tvar_env(delta: TypeVarEnv, issues: list[WfIssue] | None = None) -> bool:
     for name, (lo, hi) in delta.items():
         for side, bound in (("lower", lo), ("upper", hi)):
             probe: list[WfIssue] = []
-            wf_type(seen, bound, probe)
+            _wf_plain(seen, bound, probe)
             sink.extend(WfIssue("error", "IllFormedBound", f"{side} bound of {name}: {p.message}") for p in probe)
         seen.add(name)
     if len(sink) > before:

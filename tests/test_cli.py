@@ -192,6 +192,10 @@ class TestPrniCommand:
         res = runner.invoke(main, ["prni", f, "--observe", "String!", "--pairs", "50"])
         assert res.exit_code == 0
 
+    def test_observe_help_names_the_expectation_before_the_synthesized_type(self, runner):
+        res = runner.invoke(main, ["prni", "--help"])
+        assert "defaults to `expect ... at`, else the synthesized type" in " ".join(res.output.split())
+
     @pytest.mark.parametrize("command", ["prni", "corpus"])
     def test_non_integer_seed_from_environment_exit_2(self, runner, write, monkeypatch, tmp_path, command):
         monkeypatch.setenv("GOBSEC_SEED", "4x2")
