@@ -27,6 +27,7 @@ from .syntax import (
     TypeVar,
     TypeVarEnv,
     canon,
+    check_shape,
     instantiate_tparams,
     is_top,
     subst_self_var,
@@ -186,6 +187,7 @@ def _equiv_sec(s1: Faceted, s2: Faceted, assumed: frozenset) -> bool:
 
 def sectype_equiv(s1: Faceted, s2: Faceted) -> bool:
     """Pointwise type equivalence of the two facets."""
+    check_shape(s1, s2)
     return _equiv_sec(s1, s2, frozenset())
 
 
@@ -297,6 +299,7 @@ def soundsig(sig: GenericSig) -> bool:
     """Whether a standard signature may declassify a primitive one:
     every primitive-safety argument is public, or the return
     declassification is the empty interface."""
+    check_shape(sig)
     if is_top(sig.ret.decl):
         return True
     for a in sig.args:

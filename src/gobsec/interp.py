@@ -19,10 +19,13 @@ that contracts to itself at once times out at once (see `run_machine`),
 and the tests hold it to iterating `step`.
 
 `run_machine` starts from an environment (`bind` builds one from named
-values) and returns a machine value as it is, so a caller that probes a
-result, as the PRNI harness does, calls its closures directly.
-`evaluate` is `run_machine` followed by reading a closure back to the
-term `step` would have built (`readback`).
+values) and returns a machine value as it is. `call` enters the same
+loop one state later, right at a call's contraction, with the receiver
+and the arguments already values: a caller that probes a result, as the
+PRNI harness does, calls a method of its closure directly, with no call
+term to run and nothing to look up. `evaluate` is `run_machine` followed
+by reading a closure back to the term `step` would have built
+(`readback`).
 
 Primitive invocation applies the dispatch table below, which fixes the
 otherwise-abstract primitive semantics:
@@ -393,10 +396,37 @@ def run_machine(e: Expr, env, fuel: int) -> Outcome:
     returned without running the loop. A loop whose state recurs only
     after two or more steps, as through two methods that call each other,
     still runs until its fuel is spent."""
+    return _run(e, env, [], fuel)
+
+
+def call(node: Invoke, recv, vals, fuel: int) -> Outcome:
+    """Contract the call `node` on the receiver `recv` and the argument
+    values `vals`, one per argument of `node`, then run on.
+
+    The outcome is exactly that of `run_machine(node, env, fuel)` where
+    `env` binds the variables `node` calls on and with to `recv` and
+    `vals`: looking them up costs no step, so the machine starts at the
+    state just before that contraction, over an empty stack. `node` gives
+    only the method, the arity and a stuck redex's type arguments. The
+    values are machine values, but a closed object literal as the
+    receiver is taken as its closure `(literal, None)`, as `bind` takes
+    it."""
+    # The state pops the frame of the call's last operand, and that
+    # operand's value is in control.
+    if type(recv) is ObjectLit:
+        recv = (recv, None)
+    if len(vals) == 1:
+        return _run(vals[0], None, [(_ARG1, node, None, recv)], fuel)
+    if vals:
+        return _run(vals[-1], None, [[_ARG, node, None, recv, list(vals[:-1])]], fuel)
+    return _run(recv, None, [(_RECV, node, None)], fuel)
+
+
+def _run(c, env, stack: list, fuel: int) -> Outcome:
+    """The machine from the control `c`, a term or a machine value, in
+    `env` over `stack` (see `run_machine`)."""
     steps = 0
-    stack: list = []
     push, pop = stack.append, stack.pop
-    c = e
     try:
         while True:
             # Descend into `c`, pushing a frame per context, to a value `v`.
@@ -429,6 +459,9 @@ def run_machine(e: Expr, env, fuel: int) -> Outcome:
                     c = c.bound
                 elif t is Ascribe:
                     c = c.expr
+                elif t is tuple:
+                    v = c  # a closure `call` starts from
+                    break
                 else:
                     raise GobsecError(f"cannot evaluate {t.__name__}")
             # Return `v` to the frames until one has an expression to run.

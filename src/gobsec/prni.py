@@ -13,9 +13,10 @@ policies, the harness
    machine's environment rather than substituted into the body, and
 4. probes the two results at the observation type, method by method,
    recursively, with the step index bounding observation depth. A result
-   is probed as the machine value it is: a closure is called in its own
-   environment, and only a counterexample's inputs and outputs are read
-   back to terms.
+   is probed as the machine value it is: a probe enters the machine at
+   the call's contraction (`interp.call`), so a closure is called in its
+   own environment with no call term to run, and only a counterexample's
+   inputs and outputs are read back to terms.
 
 Every policy is read once, the way a public observer can use it: at
 `T<U>` the observer calls exactly `U`'s methods, and a primitive
@@ -39,9 +40,13 @@ them in the closure's environment. No generator holds state: a draw's
 path is the fold (`_mix`) of the seed and the draw's indices, and its
 `i`-th random number is `_fold(path, i)`, reduced to the choice it makes.
 An observation type has a probe plan: per method and sampled
-instantiation, the arguments' and result's types, the public arguments,
-the probe call and the plan of the result type (a recursive type's plan
-links back to itself).
+instantiation, the arguments' and result's types, the public arguments
+(fixed unless a receiver is a literal of one of their kinds), the probe
+call and the plan of the result type (a recursive type's plan links back
+to itself).
+`prni_test` resolves each substitution instance's templates and plan
+once, at its first use, and probes nothing where the plan relates every
+pair.
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -60,7 +65,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .algebra import in_interval, msig, type_equiv
-from .interp import Stuck, StuckError, Value, bind, readback, run_machine, theta
+from .interp import Stuck, StuckError, Value, bind, call, readback, run_machine, theta
 from .interp import evaluate  # noqa: F401  kept as `prni.evaluate`, which perfbench's tracer test patches
 from .parser import SourceProgram, pretty_print
 from .syntax import (
@@ -485,7 +490,7 @@ class _Row:
     parameters, with everything a probe needs that does not depend on the
     probed values."""
 
-    __slots__ = ("name", "targs", "pubs", "gens", "ret", "node", "names", "call", "salt", "steps", "fixed")
+    __slots__ = ("name", "targs", "pubs", "pub_kinds", "gens", "ret", "node", "call", "salt", "steps", "fixed")
 
     def __init__(self, name: str, ti: int, inst: dict[str, DeclType], sig: GenericSig):
         self.name = name
@@ -497,16 +502,18 @@ class _Row:
         # pair from its type's template.
         public = [isinstance(at.safety, Prim) and type_equiv(at.safety, at.decl) for at in args_types]
         self.pubs = tuple((j, at.safety.kind) for j, at in enumerate(args_types) if public[j])
+        self.pub_kinds = frozenset(kind for _, kind in self.pubs)
         self.gens = tuple((j, at) for j, at in enumerate(args_types) if not public[j])
-        self.names = ("r", *(f"a{j}" for j in range(len(args_types))))
-        self.call = Invoke(Var("r"), name, self.targs, tuple(Var(p) for p in self.names[1:]))
+        # The probe call; `interp.call` enters it at its contraction.
+        self.call = Invoke(Var("r"), name, self.targs, tuple(Var(f"a{j}") for j in range(len(args_types))))
         # A probe's arguments are seeded by its path, the row and the
         # sample (`args`); the path below sample `ai` adds `steps[ai]`.
         # Both are folded as the ints `_mix` reads their strings as.
         self.salt = (_crc(name), ti)
         self.steps = tuple(_crc(str((name, ti, ai))) for ai in range(ASAMPLES))
-        # With public arguments only, and receivers that are not literals,
-        # each sample's arguments are fixed; a repeat is None.
+        # With public arguments only, each sample's arguments are fixed
+        # unless a receiver is a literal of one of their kinds, which
+        # `_public_arg` probes with; a repeat is None.
         self.fixed = None
         if not self.gens:
             samples = [tuple(_public_arg(kind, (), ai + j) for j, kind in self.pubs) for ai in range(ASAMPLES)]
@@ -517,7 +524,7 @@ class _Row:
         non-public argument `j` is a pair from its template at `k - 1`,
         drawn from the fold of the probe's path (`path`, the fold of the
         steps above it), the row, the sample and `j`."""
-        n = len(self.names) - 1
+        n = len(self.call.args)
         args1, args2, keys1, keys2 = [None] * n, [None] * n, [None] * n, [None] * n
         for j, kind in self.pubs:
             args1[j] = args2[j] = keys1[j] = keys2[j] = _public_arg(kind, (v1, v2), ai + j)
@@ -693,6 +700,9 @@ class ProbeContext:
         self.stage = _Stage(self.pool)
 
 
+_ARGS = _crc("args")  # the probe paths' constant, as `_mix` reads the string
+
+
 def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, list[Observation] | None]:
     """Probe whether `v1` and `v2`, machine values or closed value terms,
     are related at `s` for `k` steps.
@@ -706,7 +716,7 @@ def check_related(k: int, v1, v2, s: Faceted, ctx: ProbeContext) -> tuple[bool, 
     """
     if k <= 0 or ctx.budget <= 0:
         return True, None
-    return _related(k, v1, v2, ctx.stage.node(s), ctx, _mix(ctx.seed, "args"))
+    return _related(k, v1, v2, ctx.stage.node(s), ctx, _mix(ctx.seed, _ARGS))
 
 
 def _related(k: int, v1, v2, node, ctx: ProbeContext, path: int) -> tuple[bool, list[Observation] | None]:
@@ -719,9 +729,13 @@ def _related(k: int, v1, v2, node, ctx: ProbeContext, path: int) -> tuple[bool, 
         if type(v1) is PrimLit and type(v2) is PrimLit and not (v1.kind == v2.kind and v1.value == v2.value):
             return False, []
         return True, None
-    literal_receivers = type(v1) is PrimLit or type(v2) is PrimLit
+    literal_kinds = ()
+    if type(v1) is PrimLit or type(v2) is PrimLit:
+        literal_kinds = {v.kind for v in (v1, v2) if type(v) is PrimLit}
     for row in node:
-        fixed = None if literal_receivers else row.fixed
+        fixed = row.fixed
+        if literal_kinds and not row.pub_kinds.isdisjoint(literal_kinds):
+            fixed = None
         tried: set = set()  # probe keys, when the arguments are not fixed
         for ai in range(ASAMPLES):
             if ctx.budget <= 0:
@@ -747,13 +761,14 @@ def _related(k: int, v1, v2, node, ctx: ProbeContext, path: int) -> tuple[bool, 
 
 
 def _outcomes(row: _Row, v1, v2, args1, args2, ctx: ProbeContext) -> tuple | None:
-    """Run the row's call `r.name<targs>(a0, ...)` on each side, with the
-    receiver and the arguments bound in the environment, so a closure is
-    called as it is. Looking them up costs no step, so the call costs the
-    one contraction that invoking the read-back receiver would."""
+    """Make the row's call `r.name<targs>(a0, ...)` on each side: the
+    machine is entered at its contraction (`interp.call`), on the receiver
+    and the arguments as they are, so a closure is called in its own
+    environment. The call costs the one contraction that invoking the
+    read-back receiver would."""
     ctx.budget -= 1
-    r1 = run_machine(row.call, bind(dict(zip(row.names, (v1, *args1)))), PROBE_FUEL)
-    r2 = run_machine(row.call, bind(dict(zip(row.names, (v2, *args2)))), PROBE_FUEL)
+    r1 = call(row.call, v1, args1, PROBE_FUEL)
+    r2 = call(row.call, v2, args2, PROBE_FUEL)
     if type(r1) is Value and type(r2) is Value:
         return r1.expr, r2.expr
     # Termination-insensitive: a timeout (or stuck probe, possible only on
@@ -851,14 +866,20 @@ def prni_test(
                 [subst_type_vars(xs, sigma) for xs in gamma.values()],
             )
         instances.append((sigma, *substituted[ids]))
+    # Each instance's input templates and observation node, resolved at its
+    # first use, so fresh names are drawn in the order the trials meet them.
+    # The node is None where every pair is related (at `Top`, or at step
+    # index 0), and then no probe runs.
+    templates: dict = {}
+    nodes: dict = {}
     compared = 0
     for trial in range(pairs):
-        sigma, sbody, sobserve, sxs = instances[trial % len(instances)]
+        i = trial % len(instances)
+        sigma, sbody, sobserve, sxs = instances[i]
+        if i not in templates:
+            templates[i] = [ctx.stage.template(sx, config.k) for sx in sxs]
         trial_seed = _fold(pair_seed, trial)
-        drawn = []
-        for xi, sx in enumerate(sxs):
-            template = ctx.stage.template(sx, config.k)
-            drawn.append((template, *template.draw(_fold(trial_seed, xi))))
+        drawn = [(t, *t.draw(_fold(trial_seed, xi))) for xi, t in enumerate(templates[i])]
         gamma1 = {x: t.value(leaves1) for x, (t, leaves1, _) in zip(gamma, drawn)}
         r1 = run_machine(sbody, bind(gamma1), config.fuel)
         if all(leaves1 == leaves2 for _, leaves1, leaves2 in drawn):
@@ -876,6 +897,10 @@ def prni_test(
         if not (isinstance(r1, Value) and isinstance(r2, Value)):
             continue  # termination-insensitive
         compared += 1
+        if i not in nodes:
+            nodes[i] = ctx.stage.node(sobserve) if config.k > 0 else None
+        if nodes[i] is None:
+            continue
         ctx.seed, ctx.budget = _fold(check_seed, trial), PROBE_BUDGET
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:

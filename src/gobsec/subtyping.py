@@ -57,6 +57,7 @@ from .syntax import (
     assume_self,
     canon,
     canon_delta,
+    check_shape,
     free_type_vars,
     is_top,
     iter_subterms,
@@ -111,6 +112,7 @@ def sub_type(
     accepts a sound standard signature above a primitive signature; this
     variant is what the facet-wise well-formedness check uses.
     """
+    check_shape(u1, u2)
     return _sub(delta, sigma, u1, u2, allow_ig, set())
 
 
@@ -206,6 +208,7 @@ def sub_record(
     allow_ig: bool = False,
 ) -> bool:
     """Width and depth subtyping between two method records."""
+    check_shape(*(s for _, s in r1), *(s for _, s in r2))
     return _sub_record(delta, sigma, r1, r2, allow_ig, set())
 
 
@@ -232,6 +235,7 @@ def sub_sig(
     then contravariant arguments and covariant return; primitive
     signatures are below themselves only (and, under `allow_ig`, below
     sound standard signatures)."""
+    check_shape(m1, m2)
     return _sub_sig(delta, sigma, m1, m2, allow_ig, set())
 
 
@@ -291,7 +295,16 @@ def sub_sectype(
     allow_ig: bool = False,
 ) -> bool:
     """Pointwise subtyping of the two facets."""
+    check_shape(s1, s2)
     return _sub_sectype(delta, sigma, s1, s2, allow_ig, set())
+
+
+def sub_wf_sectype(delta: TypeVarEnv, s1: Faceted, s2: Faceted) -> bool:
+    """`sub_sectype` under no self-variable assumptions and without the
+    shape check, for the checker: its security types come from well-formed
+    annotations and inputs, many of them freshly instantiated, and the
+    check would walk each new one."""
+    return _sub_sectype(delta, EMPTY_SIGMA, s1, s2, False, set())
 
 
 def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight) -> bool:

@@ -356,6 +356,16 @@ def free_type_vars(x: object) -> frozenset[str]:
     return _fv(x)[1]
 
 
+def check_shape(*xs) -> None:
+    """Raise GobsecError unless each of `xs` is a type, signature or
+    security type with every part where it belongs: the free-variable
+    walk (`_fv`) checks that, once per node, and a checked node answers
+    from its cache. Entry points that read facets of a signature's
+    arguments call it first."""
+    for x in xs:
+        _fv(x)
+
+
 def _fv(x) -> tuple[frozenset[str], frozenset[str]]:
     # (free self names, free generic names), built from the children's
     # cached answers and stored on the node. A non-type, here or nested,

@@ -28,9 +28,8 @@ from .algebra import (
     rdecl_many,
     type_equiv,
 )
-from .subtyping import simple_sub_type, sub_sectype
+from .subtyping import simple_sub_type, sub_wf_sectype
 from .syntax import (
-    EMPTY_SIGMA,
     TOP,
     Ascribe,
     DeclType,
@@ -129,7 +128,7 @@ def subsume(delta: TypeVarEnv, e: Expr, got: Faceted, expected: Faceted) -> list
     wf: list[WfIssue] = []
     if not wf_sectype(delta, expected, wf):
         return [Diagnostic("error", "WF", str(i)) for i in wf]
-    if sub_sectype(delta, EMPTY_SIGMA, got, expected):
+    if sub_wf_sectype(delta, got, expected):
         return []
     message = f"synthesized type {_show(got)} is not a subtype of {_show(expected)}"
     return [Diagnostic("error", "TSub", message, _span(e))]
@@ -273,7 +272,7 @@ def _invoke_generic(ctx: CheckerContext, e: Invoke, sig: GenericSig, declassifie
         targs = list(e.targs)
     inst_args, inst_ret = _instantiate(ctx, e, sig, targs, rule)
     for arg, at, want in zip(e.args, arg_types, inst_args):
-        if not sub_sectype(ctx.delta, EMPTY_SIGMA, at, want):
+        if not sub_wf_sectype(ctx.delta, at, want):
             raise _err(
                 f"{rule}/ArgMismatch",
                 f"argument of {e.method} has type {_show(at)}, expected {_show(want)}",
@@ -335,7 +334,7 @@ def _infer_targs(
             last_error = ex
             continue
         if all(
-            sub_sectype(ctx.delta, EMPTY_SIGMA, at, want) for at, want in zip(arg_types, inst_args)
+            sub_wf_sectype(ctx.delta, at, want) for at, want in zip(arg_types, inst_args)
         ):
             return list(combo)
     if last_error is not None:
@@ -353,9 +352,9 @@ def _synth_if(ctx: CheckerContext, e: If) -> Faceted:
         raise _err("If", f"condition must be a Bool, got {_show(cond)}", _span(e.cond))
     then_t = _synth(ctx, e.then)
     else_t = _synth(ctx, e.els)
-    if sub_sectype(ctx.delta, EMPTY_SIGMA, then_t, else_t):
+    if sub_wf_sectype(ctx.delta, then_t, else_t):
         out = else_t
-    elif sub_sectype(ctx.delta, EMPTY_SIGMA, else_t, then_t):
+    elif sub_wf_sectype(ctx.delta, else_t, then_t):
         out = then_t
     else:
         raise _err(

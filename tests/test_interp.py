@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from gobsec.algebra import meths
 from gobsec.cli import corpus_dir
 from gobsec.interp import (
+    THETA,
     Stuck,
     StuckError,
     Timeout,
     Value,
     bind,
+    call,
     erase_surface,
     erase_types,
     evaluate,
@@ -381,6 +383,30 @@ def same_outcome(ours, ref, where):
         assert ours.reason == ref.reason, where
 
 
+FUELS = (0, 1, PROBE_FUEL)
+
+
+def probe_call(method, n, targs=()):
+    """The call term `r.method<targs>(a0, ...)` of `n` arguments."""
+    return Invoke(Var("r"), method, targs, tuple(Var(f"a{i}") for i in range(n)))
+
+
+def same_as_bound(node, recv, vals, fuel, where):
+    """`call` on the values agrees with `run_machine` on `node` with them
+    bound: class, steps, the read-back value, and the stuck reason and
+    redex. Returns the outcome."""
+    ours = call(node, recv, vals, fuel)
+    env = bind({"r": recv, **{f"a{i}": v for i, v in enumerate(vals)}})
+    ref = run_machine(node, env, fuel)
+    assert type(ours) is type(ref) and ours.steps == ref.steps, where
+    if isinstance(ours, Value):
+        assert canon_expr(readback(ours.expr)) == canon_expr(readback(ref.expr)), where
+    elif isinstance(ours, Stuck):
+        assert ours.reason == ref.reason, where
+        assert canon_expr(ours.redex) == canon_expr(ref.redex), where
+    return ours
+
+
 class TestMachineValues:
     """The machine run from an environment, on the values it holds, against
     the read-back terms `evaluate` runs."""
@@ -394,8 +420,9 @@ class TestMachineValues:
     def test_probing_a_closure_matches_invoking_its_read_back(self):
         # Each method of the closures the corpus bodies return, and of the
         # closures those methods return, three calls down, is probed as the
-        # harness probes it: `r.m(a0, ...)` with `r` and the arguments bound
-        # in the environment.
+        # harness probes it: the machine entered at the contraction of
+        # `r.m(a0, ...)` (`call`), which agrees with running that term with
+        # `r` and the arguments bound in the environment.
         probed = 0
         for name, body, gamma in corpus_inputs(range(10)):
             out = run_machine(body, bind(gamma), 10_000)
@@ -406,13 +433,10 @@ class TestMachineValues:
                     continue
                 for impl in v[0].methods:
                     args = (UNIT,) * len(impl.params)
-                    params = tuple(f"a{i}" for i in range(len(args)))
-                    call = Invoke(Var("r"), impl.name, (), tuple(Var(p) for p in params))
-                    env = bind({"r": v, **dict(zip(params, args))})
-                    for fuel in (0, 1, PROBE_FUEL):
-                        ours = run_machine(call, env, fuel)
-                        ref = evaluate(Invoke(readback(v), impl.name, (), args), fuel)
-                        same_outcome(ours, ref, (name, impl.name, fuel))
+                    for fuel in FUELS:
+                        where = (name, impl.name, fuel)
+                        ours = same_as_bound(probe_call(impl.name, len(args)), v, args, fuel, where)
+                        same_outcome(ours, evaluate(Invoke(readback(v), impl.name, (), args), fuel), where)
                     if isinstance(ours, Value) and depth < 3:
                         todo.append((ours.expr, depth + 1))
                     probed += 1
@@ -420,3 +444,62 @@ class TestMachineValues:
         # these seeds, fewer than 4 * 20 runs * 4 levels * 3 methods since
         # an empty list's tail diverges.
         assert probed >= 600
+
+
+class TestCall:
+    """`call`, the machine entered at a contraction, against `run_machine`
+    on the call term with the receiver and the arguments bound."""
+
+    def test_every_primitive_operation_on_literal_receivers(self):
+        samples = {"Int": (0, 7, -3), "String": ("", "ab"), "Bool": (True, False), "Unit": (None,)}
+        for (kind, method), (arg_kinds, ret_kind, _) in THETA.items():
+            for r in samples[kind]:
+                args = tuple(PrimLit(samples[k][-1], k) for k in arg_kinds)
+                for fuel in FUELS:
+                    out = same_as_bound(probe_call(method, len(args)), PrimLit(r, kind), args, fuel, (kind, method, fuel))
+                    assert isinstance(out, Value if fuel else Timeout)
+                assert out.expr.kind == ret_kind
+
+    OBJ = (
+        "new { z : Obj(a)[ m : Int! -> Int!, two : Int! * Int! -> Int!, none : Unit! -> Int! ]! "
+        "m(x) => x.+(1) two(x, y) => x.-(y) none() => 5 }"
+    )
+    # The parser gives `none()` a unit parameter; this method has none.
+    NULLARY = ObjectLit("z", public(ObjType("a", ())), (MethodDef("five", (), PrimLit(5, "Int")),))
+
+    @pytest.mark.parametrize(
+        "recv, method, args, reason",
+        [
+            (OBJ, "m", ["41"], None),
+            (OBJ, "two", ["1", "2"], None),
+            (OBJ, "none", ["unit"], None),
+            (NULLARY, "five", [], None),
+            (OBJ, "n", ["1"], "object has no method n"),
+            (OBJ, "m", ["1", "2"], "method m expects 1 arguments, got 2"),
+            (OBJ, "none", [], "method none expects 1 arguments, got 0"),
+            ("1", "+", [OBJ], "primitive Int.+ applied to a non-primitive argument"),
+            ("1", "+", ['"a"'], "Int.+ expects a Int argument"),
+            ('"ab"', "length", [], "String.length expects 1 arguments"),
+            ('"ab"', "nope", ["unit"], "primitive String has no method nope"),
+        ],
+        ids=lambda x: x if isinstance(x, str) and len(x) < 20 else None,
+    )
+    def test_contractions_and_stuck_calls(self, recv, method, args, reason):
+        # A receiver given as a closed object literal is taken as its
+        # closure, as `bind` takes it; a value the machine built is a closure
+        # already.
+        lit = parse_expr(recv) if isinstance(recv, str) else recv
+        vals = tuple(run_machine(parse_expr(a), None, 10).expr for a in args)
+        for r in (lit, run_machine(lit, None, 10).expr):
+            for fuel in FUELS:
+                out = same_as_bound(probe_call(method, len(vals), (INT,)), r, vals, fuel, (recv, method, fuel))
+                assert fuel or out == Timeout(0)
+            if reason is None:
+                assert isinstance(out, Value)
+            else:
+                assert isinstance(out, Stuck) and out.reason == reason and out.steps == 0
+
+    def test_a_call_that_repeats_itself_times_out_at_once(self):
+        loop = parse_expr("new { z : Obj(a)[ loop : Int! -> Int! ]! loop(x) => z.loop(x) }")
+        for fuel in (*FUELS, 10**7):
+            assert same_as_bound(probe_call("loop", 1), loop, (PrimLit(3, "Int"),), fuel, fuel) == Timeout(fuel)

@@ -464,6 +464,21 @@ class TestProbePath:
         read = [value for _, value in log[last_check + 1 :]]
         assert [pretty_print(value) for value in read] == list(v.outputs)
 
+    def test_fixed_arguments_serve_literal_receivers_of_other_kinds(self, monkeypatch):
+        # `length` and `first` on two strings take a unit argument, which
+        # `_public_arg` does not draw from the string receivers: their
+        # samples are the row's fixed ones, so no argument tuple is built.
+        calls = []
+        args = gobsec.prni._Row.args
+
+        def counted(*a, **kw):
+            calls.append(a[0].name)
+            return args(*a, **kw)
+
+        monkeypatch.setattr(gobsec.prni._Row, "args", counted)
+        assert isinstance(self.run("list_concat_mixed.gobsec", 0), NoCounterexample)
+        assert calls == []
+
 
 class TestStagedWork:
     """What depends on the types alone (method signatures, substitutions,

@@ -3,12 +3,16 @@ agreement with the declarative-search oracle."""
 
 import random
 
+import pytest
+
+from gobsec.algebra import sectype_equiv, soundsig
 from gobsec.subtyping import declarative_oracle, simple_sub_type, sub_record, sub_sectype, sub_sig, sub_type
 from gobsec.syntax import (
     EMPTY_SIGMA,
     TOP,
     Faceted,
     GenericSig,
+    GobsecError,
     ObjType,
     PrimSig,
     SelfVar,
@@ -280,3 +284,29 @@ class TestOracleSmoke:
         delta = {"X": (STRING, TOP)}
         assert sub_type(delta, EMPTY_SIGMA, TypeVar("X"), TypeVar("X"))
         assert declarative_oracle(delta, EMPTY_SIGMA, TypeVar("X"), TypeVar("X"))
+
+
+class TestSignatureShapes:
+    """The public entry points check their arguments' shape before reading
+    a facet of a signature's argument: a plain type where a security type
+    belongs is an error, never an `AttributeError` or an answer."""
+
+    BAD = GenericSig((), (INT,), public(INT))  # the argument lacks its facets
+    GOOD = gsig([public(INT)], public(INT))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g: sub_sig({}, EMPTY_SIGMA, g, g),
+            lambda g: soundsig(g),
+            lambda g: sub_record({}, EMPTY_SIGMA, (("m", g),), (("m", g),)),
+            lambda g: sub_type({}, EMPTY_SIGMA, ObjType("s", (("m", g),)), ObjType("s", (("m", g),))),
+            lambda g: sub_sectype({}, EMPTY_SIGMA, public(ObjType("s", (("m", g),))), public(ObjType("s", (("m", g),)))),
+            lambda g: sectype_equiv(public(ObjType("s", (("m", g),))), public(ObjType("s", (("m", g),)))),
+        ],
+        ids=["sub_sig", "soundsig", "sub_record", "sub_type", "sub_sectype", "sectype_equiv"],
+    )
+    def test_a_plain_type_as_a_signature_argument_is_not_a_security_type(self, entry):
+        assert entry(self.GOOD) is True
+        with pytest.raises(GobsecError, match="not a security type: Prim"):
+            entry(self.BAD)
