@@ -266,10 +266,14 @@ def msig(delta: TypeVarEnv, u: DeclType, m: str) -> MethodSig:
 
 
 def in_interval(delta: TypeVarEnv, u: DeclType, lo: DeclType, hi: DeclType) -> bool:
-    """`lo <: u <: hi` under `delta` with no subtyping assumptions."""
+    """`lo <: u <: hi` under `delta` with no subtyping assumptions. The
+    types are ones the package parsed or built, so the subtyping core is
+    called without the public entry point's shape check."""
     from . import subtyping
 
-    return subtyping.sub_type(delta, frozenset(), lo, u) and subtyping.sub_type(delta, frozenset(), u, hi)
+    return subtyping._sub(delta, frozenset(), lo, u, False, set()) and subtyping._sub(
+        delta, frozenset(), u, hi, False, set()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ policies, the harness
    own environment with no call term to run, and only a counterexample's
    inputs and outputs are read back to terms.
 
-Every policy is read once, the way a public observer can use it: at
-`T<U>` the observer calls exactly `U`'s methods, and a primitive
-signature `P1<*> * ... -> R<*>` is the standard signature
-`P1! * ... -> R!` (`_observable`), so there is one probe path. Inputs
-are built from the same relation: two primitive literals share a class
+A policy is read in one place (`_policy`), the way a public observer
+can use it: at `T<U>` the observer calls exactly `U`'s methods, each at
+its observable signature, where a primitive signature
+`P1<*> * ... -> R<*>` is the standard signature `P1! * ... -> R!`
+(`_observable`), so there is one probe path. Inputs are built from the
+same reading of the same relation: two primitive literals share a class
 of what the policy cannot tell apart in a finite universe
 (`_partition`); in two objects, a method in `U` answers with related
 results, a method only in `T` with independent ones, and at step index
@@ -31,8 +32,10 @@ results, a method only in `T` with independent ones, and at step index
 shape wherever the policy hides it.
 
 All of that depends on the types alone, so it is worked out once per
-verdict (`_Stage`), the first time a type is met, and a trial only draws
-primitive leaves and runs the machine. An input type has a template
+verdict (`_Stage`), the first time a type is met, and kept in one memo
+keyed by value; a trial only draws primitive leaves and runs the
+machine. Generation, probing and the partitions share one reading of
+each policy per verdict. An input type has a template
 (`_Template`): the unrolled object literal of its pair, with a free
 variable at each primitive leaf and the leaf's policy resolved to its
 partition. A trial draws the leaves in the template's order and binds
@@ -233,48 +236,34 @@ def verdict_to_json(v: Verdict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _interval_candidates(lo: DeclType, hi: DeclType, pool: dict[str, DeclType]) -> list[DeclType]:
-    """The bound endpoints and pool types that lie in `lo .. hi`, without
-    duplicates, in a stable order. Candidates that cannot be placed against
-    an open bound are skipped."""
-    cands: list[DeclType] = []
-    seen: set = set()
-    for c in [lo, hi, *pool.values()]:
-        if isinstance(c, TypeVar):
-            continue
-        key = canon(c)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            if in_interval({}, c, lo, hi):
-                cands.append(c)
-        except GobsecError:
-            continue
-    cands.sort(key=lambda t: str(canon(t)))
-    return cands
+def _candidates(pool: dict[str, DeclType]):
+    """The interval candidates over `pool`, a function of the bounds `lo`
+    and `hi`: the bound endpoints and pool types that lie in `lo .. hi`,
+    without duplicates, in a stable order. Candidates that cannot be placed
+    against an open bound are skipped. Each interval is worked out once,
+    keyed by its bounds as written: the list holds the bounds themselves,
+    and a choice prints as it is written."""
 
-
-class _Candidates:
-    """`_interval_candidates` over one pool, computed once per interval.
-
-    An interval is keyed by its bounds' canonical forms. The list holds the
-    bounds themselves, and a choice prints as it is written, so a hit is
-    used only when the bounds are also equal as written."""
-
-    def __init__(self, pool: dict[str, DeclType]):
-        self.pool = pool
-        self._memo: dict = {}
-
-    def __call__(self, lo: DeclType, hi: DeclType) -> list[DeclType]:
-        key = (canon(lo), canon(hi))
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] == lo and hit[1] == hi:
-            return hit[2]
-        cands = _interval_candidates(lo, hi, self.pool)
-        if hit is None:
-            self._memo[key] = (lo, hi, cands)
+    @functools.cache
+    def candidates(lo: DeclType, hi: DeclType) -> list[DeclType]:
+        cands: list[DeclType] = []
+        seen: set = set()
+        for c in [lo, hi, *pool.values()]:
+            if isinstance(c, TypeVar):
+                continue
+            key = canon(c)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                if in_interval({}, c, lo, hi):
+                    cands.append(c)
+            except GobsecError:
+                continue
+        cands.sort(key=lambda t: str(canon(t)))
         return cands
+
+    return candidates
 
 
 def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], h: int) -> dict[str, DeclType]:
@@ -282,10 +271,10 @@ def sample_subst(delta: TypeVarEnv, pool: dict[str, DeclType], h: int) -> dict[s
     from the int `h`: for each variable, a closed type within its bounds,
     drawn uniformly from the bound endpoints and the pool types that fit
     the interval. Earlier choices substitute into later bounds."""
-    return _sample_subst(delta, _Candidates(pool), h)
+    return _sample_subst(delta, _candidates(pool), h)
 
 
-def _sample_subst(delta: TypeVarEnv, candidates: _Candidates, h: int) -> dict[str, DeclType]:
+def _sample_subst(delta: TypeVarEnv, candidates, h: int) -> dict[str, DeclType]:
     """`sample_subst` over the intervals' `candidates`, which several draws
     may share. The `j`-th variable takes candidate `_fold(h, j)` modulo
     their number."""
@@ -303,7 +292,7 @@ def _sample_subst(delta: TypeVarEnv, candidates: _Candidates, h: int) -> dict[st
 def substitutions(delta: TypeVarEnv, pool: dict[str, DeclType]) -> list[dict[str, DeclType]]:
     """Every substitution `sample_subst` can draw: each variable at each of
     its candidates, earlier choices substituted into later bounds."""
-    candidates = _Candidates(pool)
+    candidates = _candidates(pool)
     out: list[dict[str, DeclType]] = [{}]
     for name, (lo, hi) in delta.items():
         out = [
@@ -326,6 +315,13 @@ def _observable(sig: MethodSig) -> GenericSig:
     if isinstance(sig, PrimSig):
         return GenericSig((), tuple(public(Prim(k)) for k in sig.arg_kinds), public(Prim(sig.ret_kind)))
     return sig
+
+
+def _policy(u: ObjType) -> tuple[tuple[str, GenericSig], ...]:
+    """The policy `u` as a public observer can use it: its methods in
+    order, each at its observable signature. Generation, probing and the
+    partitions read a policy only through here."""
+    return tuple((name, _observable(msig({}, u, name))) for name, _ in u.methods)
 
 
 _ALPHABET = "abc"
@@ -370,15 +366,14 @@ def _rand_lit(kind: str, r: int) -> PrimLit:
 def _partition(kind: str, u: ObjType, values: tuple, seen: frozenset = frozenset()) -> dict:
     """Each of `values`, literals of `kind`, mapped to its class at
     `kind<u>`: the tuple of values on which every method of `u`, read
-    through `_observable`, gives related results at all public arguments
+    through `_policy`, gives related results at all public arguments
     from the universe and, at the receiver's kind, `values` (`_public_arg`
     probes with the receivers). A public result is compared by value, one
     at a policy not in `seen` by its class among the results (so at `Top`
     not at all). A method this cannot read (type parameters, a non-public
     argument, a stuck call) leaves every value in a class of its own."""
     cls = dict.fromkeys(values, 0)
-    for name, _ in u.methods:
-        sig = _observable(msig({}, u, name))
+    for name, sig in _policy(u):
         kinds = [a.safety.kind for a in sig.args if isinstance(a.safety, Prim) and type_equiv(a.safety, a.decl)]
         if sig.tparams or len(kinds) < len(sig.args):
             return {v: (v,) for v in values}
@@ -551,7 +546,7 @@ def _term(v) -> Expr:
     return readback(v) if type(v) is tuple else v
 
 
-def _sample_instantiations(sig: GenericSig, candidates: _Candidates) -> list[dict[str, DeclType]]:
+def _sample_instantiations(sig: GenericSig, candidates) -> list[dict[str, DeclType]]:
     """Up to TSAMPLES instantiations of `sig`'s type parameters: the i-th
     takes each parameter's i-th interval candidate (or its last), falling
     back to the upper bound when no candidate fits."""
@@ -570,36 +565,34 @@ def _sample_instantiations(sig: GenericSig, candidates: _Candidates) -> list[dic
 
 class _Stage:
     """The part of one verdict's generation and probing that depends on the
-    types alone, each piece built the first time it is needed.
-
-    A security type's template (per step index) and probe node are kept
-    under the type, compared as written, and each object is hashed once:
-    later lookups go by its identity (the entry holds the object, so its
-    identity is not reused). A probe node is None where everything is
+    types alone, each piece built the first time it is needed and kept in
+    one memo, keyed by value (a type hashes its tree once, on its node):
+    a security type's template per step index and its probe node, a
+    policy's reading (`_policy`) and probe plan, and an object type's
+    method table at a policy. A probe node is None where everything is
     related, a primitive kind where two literals of it are compared, or
-    the plan of an object facet: its rows (`_Row`), probed in order."""
+    the plan of an object facet: its rows (`_Row`), probed in order.
+    Nothing in the memo refers to the stage, so reference counting frees
+    a verdict's stage when the verdict returns."""
 
     def __init__(self, pool: dict[str, DeclType]):
-        self.candidates = _Candidates(pool)
-        self._by_id: dict = {}
-        self._made: dict = {}
-        self._plans: dict = {}
-        self._tables: dict = {}
+        self.candidates = _candidates(pool)
+        self._memo: dict = {}
+
+    def _once(self, key: tuple, make):
+        made = self._memo.get(key, _UNRESOLVED)
+        if made is _UNRESOLVED:
+            made = self._memo[key] = make()
+        return made
 
     def template(self, s: Faceted, k: int) -> _Template:
-        return self._once(s, k, lambda: _Template(self, s, k))
+        return self._once(("template", s, k), lambda: _Template(self, s, k))
 
     def node(self, s: Faceted):
-        return self._once(s, None, lambda: self._node(s))
+        return self._once(("node", s), lambda: self._node(s))
 
-    def _once(self, s: Faceted, k: int | None, make):
-        hit = self._by_id.get((id(s), k))
-        if hit is None:
-            made = self._made.get((s, k), _UNRESOLVED)
-            if made is _UNRESOLVED:
-                made = self._made[(s, k)] = make()
-            hit = self._by_id[(id(s), k)] = (s, made)
-        return hit[1]
+    def policy(self, u: ObjType) -> tuple[tuple[str, GenericSig], ...]:
+        return self._once(("policy", u), lambda: _policy(u))
 
     def _node(self, s: Faceted):
         t, u = s.safety, s.decl
@@ -609,36 +602,30 @@ class _Stage:
             return t.kind if u.kind == t.kind else None
         if not isinstance(u, ObjType):
             return None
-        plan = self._plans.get(u)
-        if plan is None:
-            plan = self._plans[u] = tuple(
+        return self._once(
+            ("plan", u),
+            lambda: tuple(
                 _Row(name, ti, inst, sig)
-                for name, sig in ((name, _observable(msig({}, u, name))) for name, _ in u.methods)
+                for name, sig in self.policy(u)
                 for ti, inst in enumerate(_sample_instantiations(sig, self.candidates))
-            )
-        return plan
+            ),
+        )
 
-    def _table(self, t: ObjType, u: DeclType) -> tuple:
+    def _table(self, t: ObjType, u: DeclType):
         """For each method of `t`: its name, its closed signature, the type
         at which its two results are related, and that type's leaf spec when
         it is primitive."""
-        rows = self._tables.get((t, u))
-        if rows is None:
-            rows = []
-            for name, _ in t.methods:
-                sig = msig({}, t, name)
-                if isinstance(sig, PrimSig):
-                    raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
-                decl = TOP
-                if isinstance(u, ObjType) and u.sig(name) is not None:
-                    decl = _ret_at_lower_bounds(_observable(msig({}, u, name))).decl
-                ret = Faceted(_ret_at_lower_bounds(sig).safety, decl)
-                leaf = None
-                if isinstance(ret.safety, Prim) and not isinstance(decl, TypeVar):
-                    leaf = _leaf(ret.safety.kind, decl)
-                rows.append((name, sig, ret, leaf))
-            rows = self._tables[(t, u)] = tuple(rows)
-        return rows
+        observable = dict(self.policy(u)) if isinstance(u, ObjType) else {}
+        for name, _ in t.methods:
+            sig = msig({}, t, name)
+            if isinstance(sig, PrimSig):
+                raise NoGenerator(f"object type with primitive-signature method {name} has no object values")
+            decl = _ret_at_lower_bounds(observable[name]).decl if name in observable else TOP
+            ret = Faceted(_ret_at_lower_bounds(sig).safety, decl)
+            leaf = None
+            if isinstance(ret.safety, Prim) and not isinstance(decl, TypeVar):
+                leaf = _leaf(ret.safety.kind, decl)
+            yield name, sig, ret, leaf
 
     def build(self, s: Faceted, k: int, names: list[str], specs: list[tuple]) -> Expr:
         """The term of a template at `s` for `k` steps (see `_Template`),
@@ -667,7 +654,7 @@ class _Stage:
             raise NoGenerator(f"cannot generate values at {pretty_print(s)}")
         z = fresh("z")
         methods = []
-        for name, sig, ret, leaf in self._table(t, u):
+        for name, sig, ret, leaf in self._once(("table", t, u), lambda: tuple(self._table(t, u))):
             params = tuple(fresh("x") for _ in sig.args)
             if k <= 0:
                 body = Invoke(Var(z), name, tuple(TypeVar(tp.name) for tp in sig.tparams), tuple(Var(p) for p in params))

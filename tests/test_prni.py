@@ -481,15 +481,17 @@ class TestProbePath:
 
 
 class TestStagedWork:
-    """What depends on the types alone (method signatures, substitutions,
-    interval candidates, partitions, the templates' method definitions) is
-    built once per verdict: it does not grow with the number of trials."""
+    """What depends on the types alone (method signatures, policy readings,
+    substitutions, interval candidates, partitions, the templates' method
+    definitions) is built once per verdict: it does not grow with the
+    number of trials."""
 
     COUNTED = (
         (gobsec.algebra, "msig"),
         (gobsec.syntax, "subst_type_vars"),
         (gobsec.algebra, "in_interval"),
         (gobsec.prni, "_partition"),
+        (gobsec.prni, "_policy"),
     )
 
     def counts(self, pairs):
@@ -497,6 +499,8 @@ class TestStagedWork:
 
         from gobsec.syntax import MethodDef
 
+        # The partitions are cached across verdicts; each count starts cold.
+        gobsec.prni._partition.cache_clear()
         counts = dict.fromkeys([name for _, name in self.COUNTED] + ["MethodDef"], 0)
 
         def counted(name, fn):
@@ -531,6 +535,62 @@ class TestStagedWork:
         few = self.counts(25)
         assert all(few.values()), few
         assert self.counts(200) == few
+
+    @pytest.mark.parametrize("name", ["sec_len.gobsec", "subject_len.gobsec", "list_concat_mixed.gobsec"])
+    def test_a_verdict_checks_no_shapes(self, name):
+        # The harness's types are ones the package parsed or built, so its
+        # interval and simple-typing questions go to the subtyping core
+        # without the public entry points' shape check.
+        import sys
+
+        from gobsec.typecheck import sec_synth
+
+        calls = 0
+        check_shape = gobsec.syntax.check_shape
+
+        def counted(*xs):
+            nonlocal calls
+            calls += 1
+            check_shape(*xs)
+
+        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
+        observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
+        with pytest.MonkeyPatch.context() as mp:
+            for n, m in sys.modules.items():
+                if n.startswith("gobsec.") and getattr(m, "check_shape", None) is check_shape:
+                    mp.setattr(m, "check_shape", counted)
+            v = prni_test(p, observe, PrniConfig(pairs=25, seed=0))
+        assert isinstance(v, NoCounterexample)
+        assert calls == 0
+
+    def test_a_verdicts_stage_is_freed_by_reference_counting(self, monkeypatch):
+        # Nothing the stage keeps refers back to it, so it goes with the
+        # verdict even with the cycle collector off. (The `_Row.node` links
+        # of a recursive plan are cycles by design, among the rows.)
+        import gc
+        import weakref
+
+        from gobsec.typecheck import sec_synth
+
+        stages = []
+
+        class Recorded(_Stage):
+            def __init__(self, pool):
+                super().__init__(pool)
+                stages.append(weakref.ref(self))
+
+        monkeypatch.setattr(gobsec.prni, "_Stage", Recorded)
+        p = parse_program((corpus_dir() / "list_concat_mixed.gobsec").read_text(encoding="utf-8"))
+        observe = sec_synth(p.tvars, p.vars, p.body)
+        gc.collect()
+        gc.disable()
+        try:
+            v = prni_test(p, observe, PrniConfig(pairs=25, seed=0))
+            alive = [ref() is not None for ref in stages]
+        finally:
+            gc.enable()
+        assert isinstance(v, NoCounterexample)
+        assert alive == [False]
 
 
 class TestTrialWork:
