@@ -44,7 +44,7 @@ from pathlib import Path
 
 import click
 
-from .algebra import sectype_equiv
+from .algebra import _equiv_sec
 from .interp import DEFAULT_FUEL, Timeout, Value, bind, erase_surface, evaluate
 from .parser import (
     ParseError,
@@ -375,7 +375,7 @@ def run_corpus_file(path: Path, seed: int, typing_only: bool = False, pairs: int
         _subsume(prog, got)
     except _Stop as stop:
         rejected = stop.message
-    if expect.exact is not None and (got is None or not sectype_equiv(got, expect.exact)):
+    if expect.exact is not None and (got is None or not _equiv_sec(got, expect.exact, frozenset())):
         shown = rejected if got is None else pretty_print(got)
         return CorpusResult(name, kind, False, f"expected exact type {pretty_print(expect.exact)}, got {shown}")
     if kind == "illtyped":

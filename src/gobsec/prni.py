@@ -16,7 +16,9 @@ policies, the harness
    is probed as the machine value it is: a probe enters the machine at
    the call's contraction (`interp.call`), so a closure is called in its
    own environment with no call term to run, and only a counterexample's
-   inputs and outputs are read back to terms.
+   inputs and outputs are read back to terms. A probe stops at the first
+   side that does not return. When both sides are one value, a blind
+   plan, one whose probes draw no arguments, is not probed at all.
 
 A policy is read in one place (`_policy`), the way a public observer
 can use it: at `T<U>` the observer calls exactly `U`'s methods, each at
@@ -49,7 +51,7 @@ call and the plan of the result type (a recursive type's plan links back
 to itself).
 `prni_test` resolves each substitution instance's templates and plan
 once, at its first use, and probes nothing where the plan relates every
-pair.
+pair, or where both sides are one value and the plan is blind.
 
 A single distinguishable public primitive outcome refutes relatedness and
 yields a replayable counterexample (the sampled substitution, both input
@@ -142,8 +144,8 @@ def _mix(*parts, h: int = _MIX0) -> int:
 # Configuration and verdicts
 # ---------------------------------------------------------------------------
 
-PROBE_FUEL = 600  # steps per probe evaluation; divergence still relates
-PROBE_BUDGET = 160  # probe evaluations per relatedness check
+PROBE_FUEL = 600  # steps per probe call; divergence still relates
+PROBE_BUDGET = 160  # probes per relatedness check, each a call on one side or both
 TSAMPLES = 2  # type instantiations probed per polymorphic method
 ASAMPLES = 3  # argument tuples probed per instantiation
 
@@ -483,7 +485,9 @@ _UNRESOLVED = object()
 class _Row:
     """One method of a probe plan at one instantiation of its type
     parameters, with everything a probe needs that does not depend on the
-    probed values."""
+    probed values. Its probes draw arguments when `gens` is not empty;
+    otherwise, unless a receiver is a literal of a public argument's kind,
+    `fixed` holds its samples `(ai, args, args)`, one per distinct tuple."""
 
     __slots__ = ("name", "targs", "pubs", "pub_kinds", "gens", "ret", "node", "call", "salt", "steps", "fixed")
 
@@ -508,11 +512,23 @@ class _Row:
         self.steps = tuple(_crc(str((name, ti, ai))) for ai in range(ASAMPLES))
         # With public arguments only, each sample's arguments are fixed
         # unless a receiver is a literal of one of their kinds, which
-        # `_public_arg` probes with; a repeat is None.
+        # `_public_arg` probes with; a repeat is left out.
         self.fixed = None
         if not self.gens:
             samples = [tuple(_public_arg(kind, (), ai + j) for j, kind in self.pubs) for ai in range(ASAMPLES)]
-            self.fixed = tuple(None if args in samples[:ai] else args for ai, args in enumerate(samples))
+            self.fixed = tuple((ai, args, args) for ai, args in enumerate(samples) if args not in samples[:ai])
+
+    def samples(self, v1, v2, k: int, ctx: "ProbeContext", path: int):
+        """The samples `(ai, args1, args2)` of arguments that depend on the
+        probed values (`args`), each distinct pair once, while budget lasts."""
+        tried: set = set()
+        for ai in range(ASAMPLES):
+            if ctx.budget <= 0:
+                return
+            args1, args2, key = self.args(ai, v1, v2, k, ctx, path)
+            if key not in tried:
+                tried.add(key)
+                yield ai, args1, args2
 
     def args(self, ai: int, v1, v2, k: int, ctx: "ProbeContext", path: int) -> tuple:
         """The arguments of sample `ai` on each side, and their probe key. A
@@ -571,7 +587,9 @@ class _Stage:
     policy's reading (`_policy`) and probe plan, and an object type's
     method table at a policy. A probe node is None where everything is
     related, a primitive kind where two literals of it are compared, or
-    the plan of an object facet: its rows (`_Row`), probed in order.
+    the plan of an object facet: its rows (`_Row`), probed in order. A
+    node is blind when no row reachable from it, in a cycle or not, draws
+    arguments: a value probed against itself there is never refuted.
     Nothing in the memo refers to the stage, so reference counting frees
     a verdict's stage when the verdict returns."""
 
@@ -593,6 +611,23 @@ class _Stage:
 
     def policy(self, u: ObjType) -> tuple[tuple[str, GenericSig], ...]:
         return self._once(("policy", u), lambda: _policy(u))
+
+    def blind(self, s: Faceted) -> bool:
+        return self._once(("blind", s), lambda: self._blind(self.node(s)))
+
+    def _blind(self, node) -> bool:
+        seen, todo = set(), [node]
+        while todo:
+            node = todo.pop()
+            if type(node) is tuple and id(node) not in seen:
+                seen.add(id(node))
+                for row in node:
+                    if row.gens:
+                        return False
+                    if row.node is _UNRESOLVED:
+                        row.node = self.node(row.ret)
+                    todo.append(row.node)
+        return True
 
     def _node(self, s: Faceted):
         t, u = s.safety, s.decl
@@ -720,22 +755,12 @@ def _related(k: int, v1, v2, node, ctx: ProbeContext, path: int) -> tuple[bool, 
     if type(v1) is PrimLit or type(v2) is PrimLit:
         literal_kinds = {v.kind for v in (v1, v2) if type(v) is PrimLit}
     for row in node:
-        fixed = row.fixed
-        if literal_kinds and not row.pub_kinds.isdisjoint(literal_kinds):
-            fixed = None
-        tried: set = set()  # probe keys, when the arguments are not fixed
-        for ai in range(ASAMPLES):
+        samples = row.fixed
+        if samples is None or literal_kinds and not row.pub_kinds.isdisjoint(literal_kinds):
+            samples = row.samples(v1, v2, k, ctx, path)
+        for ai, args1, args2 in samples:
             if ctx.budget <= 0:
                 return True, None
-            if fixed is not None:
-                args1 = args2 = fixed[ai]
-                if args1 is None:
-                    continue
-            else:
-                args1, args2, key = row.args(ai, v1, v2, k, ctx, path)
-                if key in tried:
-                    continue
-                tried.add(key)
             out = _outcomes(row, v1, v2, args1, args2, ctx)
             if out is None or k <= 1 or ctx.budget <= 0:
                 continue
@@ -752,15 +777,14 @@ def _outcomes(row: _Row, v1, v2, args1, args2, ctx: ProbeContext) -> tuple | Non
     machine is entered at its contraction (`interp.call`), on the receiver
     and the arguments as they are, so a closure is called in its own
     environment. The call costs the one contraction that invoking the
-    read-back receiver would."""
+    read-back receiver would. The pair of calls costs one unit of budget,
+    and the second side is not called when the first does not return."""
     ctx.budget -= 1
-    r1 = call(row.call, v1, args1, PROBE_FUEL)
-    r2 = call(row.call, v2, args2, PROBE_FUEL)
-    if type(r1) is Value and type(r2) is Value:
-        return r1.expr, r2.expr
     # Termination-insensitive: a timeout (or stuck probe, possible only on
-    # ill-typed inputs) never distinguishes.
-    return None
+    # ill-typed inputs) never distinguishes, whatever the other side does.
+    r1 = call(row.call, v1, args1, PROBE_FUEL)
+    r2 = call(row.call, v2, args2, PROBE_FUEL) if type(r1) is Value else None
+    return (r1.expr, r2.expr) if type(r2) is Value else None
 
 
 _PROBE_BASE = {"Int": (0, 1, 2), "String": ("a", "", "b"), "Bool": (True, False), "Unit": (None,)}
@@ -886,8 +910,8 @@ def prni_test(
         compared += 1
         if i not in nodes:
             nodes[i] = ctx.stage.node(sobserve) if config.k > 0 else None
-        if nodes[i] is None:
-            continue
+        if nodes[i] is None or r2 is r1 and ctx.stage.blind(sobserve):
+            continue  # at a blind plan, one value is related to itself
         ctx.seed, ctx.budget = _fold(check_seed, trial), PROBE_BUDGET
         ok, path = check_related(config.k, r1.expr, r2.expr, sobserve, ctx)
         if not ok:

@@ -37,7 +37,7 @@ exhaustive universe.
 from __future__ import annotations
 
 
-from .algebra import meths, rename_tparams, soundsig, type_equiv, unfold
+from .algebra import _soundsig, meths, rename_tparams, soundsig, type_equiv, unfold
 from .syntax import (
     EMPTY_SIGMA,
     TOP,
@@ -284,7 +284,7 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
             return False
     if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight):
         return False
-    return soundsig(gen)
+    return _soundsig(gen)
 
 
 def sub_sectype(

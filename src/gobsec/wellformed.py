@@ -5,8 +5,10 @@ caches (`free_self_vars`, `free_type_vars`); no check here walks a type.
 The load-bearing check is on faceted types: after one unfolding, the
 declassification facet must sit above the safety facet in the subtyping
 order extended with sound declassifications of primitive signatures.
-`sub_type` compares the two facets' closed records (their unfoldings)
-itself, so the facets are passed to it as they are. A policy violating
+The subtyping core (`subtyping._sub`) compares the two facets' closed
+records (their unfoldings) itself, so the facets are passed to it as they
+are; the scoping check has already checked their shapes (`wf_type`), so
+the core is called without the public entries' shape check. A policy violating
 that check is rejected with a diagnostic naming the offending method and
 which publicness principle it breaks.
 """
@@ -17,7 +19,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from .algebra import meths, soundsig, unfold
-from .subtyping import sub_sig, sub_type
+from .subtyping import _sub, sub_sig
 from .syntax import (
     EMPTY_SIGMA,
     DeclType,
@@ -80,11 +82,11 @@ def _wf_plain(tvars: Collection[str], u: DeclType, sink: list[WfIssue]) -> bool:
 
 def wf_sectype(delta: TypeVarEnv, s: Faceted, issues: list[WfIssue] | None = None) -> bool:
     """Both facets scoped under `delta` (see `wf_type`) and the
-    declassification facet admissible: in the closed records that
-    `sub_type` compares, every method it exposes is matched in the safety
-    facet by a subtype signature, where a primitive signature may also be
-    declassified by an identical primitive signature or a sound standard
-    signature."""
+    declassification facet admissible: in the closed records that the
+    subtyping core compares, every method it exposes is matched in the
+    safety facet by a subtype signature, where a primitive signature may
+    also be declassified by an identical primitive signature or a sound
+    standard signature."""
     sink: list[WfIssue] = [] if issues is None else issues
     before = len(sink)
     if not isinstance(s, Faceted):
@@ -95,7 +97,7 @@ def wf_sectype(delta: TypeVarEnv, s: Faceted, issues: list[WfIssue] | None = Non
     if isinstance(s.safety, TypeVar):
         sink.append(WfIssue("error", "BadType", "safety facet cannot be a generic variable"))
         return False
-    if sub_type(delta, EMPTY_SIGMA, s.safety, s.decl, allow_ig=True):
+    if _sub(delta, EMPTY_SIGMA, s.safety, s.decl, True, set()):
         return True
     _explain_facets(delta, s.safety, s.decl, sink)
     if len(sink) == before:
@@ -167,7 +169,7 @@ def wf_tvar_env(delta: TypeVarEnv, issues: list[WfIssue] | None = None) -> bool:
         return False
     for name, (lo, hi) in delta.items():
         if not free_type_vars(lo) and not free_type_vars(hi):
-            if not sub_type(delta, EMPTY_SIGMA, lo, hi):
+            if not _sub(delta, EMPTY_SIGMA, lo, hi, False, set()):
                 sink.append(
                     WfIssue("warning", "EmptyInterval", f"interval of {name} is empty: lower bound is not below upper bound")
                 )

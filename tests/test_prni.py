@@ -480,6 +480,84 @@ class TestProbePath:
         assert calls == []
 
 
+class TestEqualSides:
+    """When both sides of a trial are one value, only a probe that draws
+    two arguments can tell them apart: the machine is deterministic and
+    the relation termination-insensitive. Such a trial is related without
+    a probe where its plan draws no arguments (the plan is blind), and
+    probed in full where it does."""
+
+    # Closed, so both sides are the one object; `m` answers a private
+    # argument at a public result.
+    SELF_LEAK = """expect insecure at Obj(a)[ m : String? -> String! ]!
+new { z : Obj(a)[ m : String? -> String? ]! m(x) => x }"""
+
+    PROGRAM_FILES = sorted([*corpus_dir().glob("*.gobsec"), *PROGRAMS.glob("*.gobsec")])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_value_is_probed_where_its_plan_draws_arguments(self, seed):
+        p = parse_program(self.SELF_LEAK)
+        v = prni_test(p, p.expect.at, PrniConfig(seed=seed))
+        assert isinstance(v, Counterexample)
+        (step,) = v.observation
+        assert step.method == "m" and step.args1 != step.args2
+
+    def test_a_full_probe_relates_every_trial_the_rule_skips(self, monkeypatch):
+        # Every trial is probed in full; those the rule skips (one value
+        # at a blind plan) must all come out related.
+        from gobsec.cli import run_corpus_file
+
+        skipped = []
+        check_related = gobsec.prni.check_related
+
+        class Unskipped(_Stage):
+            def blind(self, s):
+                return False
+
+        def recorded(k, v1, v2, s, ctx):
+            out = check_related(k, v1, v2, s, ctx)
+            if v1 is v2 and _Stage.blind(ctx.stage, s):
+                skipped.append(out)
+            return out
+
+        monkeypatch.setattr(gobsec.prni, "_Stage", Unskipped)
+        monkeypatch.setattr(gobsec.prni, "check_related", recorded)
+        assert len(self.PROGRAM_FILES) == 27
+        for path in self.PROGRAM_FILES:
+            for seed in range(10):
+                run_corpus_file(path, seed, pairs=25)
+        assert len(skipped) > 1000
+        assert set(skipped) == {(True, None)}
+
+    def test_a_skipped_trial_makes_no_probe_call(self, monkeypatch):
+        # `list_cons` at `X = String`: both inputs are public, so the sides
+        # are one value, and the list's plan draws no arguments. A trial
+        # logs its inputs' draws (`d`), its runs of the body (`r`) and its
+        # probe calls (`c`); the plan draws nothing, so a `d` starts a trial.
+        from gobsec.prni import _Template
+        from gobsec.typecheck import sec_synth
+
+        log = []
+
+        def logged(event, fn):
+            def go(*args):
+                log.append(event)
+                return fn(*args)
+
+            return go
+
+        monkeypatch.setattr(gobsec.prni, "run_machine", logged("r", gobsec.prni.run_machine))
+        monkeypatch.setattr(gobsec.prni, "call", logged("c", gobsec.prni.call))
+        monkeypatch.setattr(_Template, "draw", logged("d", _Template.draw))
+        p = parse_program((corpus_dir() / "list_cons.gobsec").read_text(encoding="utf-8"))
+        v = prni_test(p, sec_synth(p.tvars, p.vars, p.body), PrniConfig(pairs=25, seed=1))
+        assert isinstance(v, NoCounterexample) and v.compared == 25
+        trials = re.findall(r"dd(r+)(c*)", "".join(log))
+        assert len(trials) == 25 and sum(map(len, map("".join, trials))) + 50 == len(log)
+        assert {calls for runs, calls in trials if runs == "r"} == {""}
+        assert any(runs == "r" for runs, _ in trials) and any(calls for _, calls in trials)
+
+
 class TestStagedWork:
     """What depends on the types alone (method signatures, policy readings,
     substitutions, interval candidates, partitions, the templates' method
@@ -492,9 +570,10 @@ class TestStagedWork:
         (gobsec.algebra, "in_interval"),
         (gobsec.prni, "_partition"),
         (gobsec.prni, "_policy"),
+        (gobsec.prni, "_Row"),
     )
 
-    def counts(self, pairs):
+    def counts(self, pairs, program="list_concat_mixed.gobsec"):
         import sys
 
         from gobsec.syntax import MethodDef
@@ -524,7 +603,7 @@ class TestStagedWork:
                     if getattr(m, name, None) is fn:
                         mp.setattr(m, name, counted(name, fn))
             mp.setattr(MethodDef, "__post_init__", counted_post_init)
-            p = parse_program((corpus_dir() / "list_concat_mixed.gobsec").read_text(encoding="utf-8"))
+            p = parse_program((corpus_dir() / program).read_text(encoding="utf-8"))
             from gobsec.typecheck import sec_synth
 
             v = prni_test(p, sec_synth(p.tvars, p.vars, p.body), PrniConfig(pairs=pairs, seed=0))
@@ -536,14 +615,17 @@ class TestStagedWork:
         assert all(few.values()), few
         assert self.counts(200) == few
 
-    @pytest.mark.parametrize("name", ["sec_len.gobsec", "subject_len.gobsec", "list_concat_mixed.gobsec"])
-    def test_a_verdict_checks_no_shapes(self, name):
-        # The harness's types are ones the package parsed or built, so its
-        # interval and simple-typing questions go to the subtyping core
-        # without the public entry points' shape check.
-        import sys
+    def test_a_blind_plan_is_resolved_once_per_verdict(self):
+        # At `X = String` the sides of a `list_cons` trial are one value,
+        # and whether the list's plan is blind resolves its rows' links.
+        few = self.counts(25, "list_cons.gobsec")
+        assert few["_Row"] and few["MethodDef"], few
+        assert self.counts(200, "list_cons.gobsec") == few
 
-        from gobsec.typecheck import sec_synth
+    @staticmethod
+    def shape_checks(run):
+        """The `check_shape` calls that `run()` makes, and its result."""
+        import sys
 
         calls = 0
         check_shape = gobsec.syntax.check_shape
@@ -553,14 +635,36 @@ class TestStagedWork:
             calls += 1
             check_shape(*xs)
 
-        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
-        observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
         with pytest.MonkeyPatch.context() as mp:
             for n, m in sys.modules.items():
                 if n.startswith("gobsec.") and getattr(m, "check_shape", None) is check_shape:
                     mp.setattr(m, "check_shape", counted)
-            v = prni_test(p, observe, PrniConfig(pairs=25, seed=0))
+            out = run()
+        return calls, out
+
+    @pytest.mark.parametrize("name", ["sec_len.gobsec", "subject_len.gobsec", "list_concat_mixed.gobsec"])
+    def test_a_verdict_checks_no_shapes(self, name):
+        # The harness's types are ones the package parsed or built, so its
+        # interval and simple-typing questions go to the subtyping core
+        # without the public entry points' shape check.
+        from gobsec.typecheck import sec_synth
+
+        p = parse_program((corpus_dir() / name).read_text(encoding="utf-8"))
+        observe = p.expect.at or sec_synth(p.tvars, p.vars, p.body)
+        calls, v = self.shape_checks(lambda: prni_test(p, observe, PrniConfig(pairs=25, seed=0)))
         assert isinstance(v, NoCounterexample)
+        assert calls == 0
+
+    @pytest.mark.parametrize("name", ["sec_len.gobsec", "prim_eq.gobsec"])
+    def test_a_corpus_run_checks_no_shapes(self, name):
+        # Parsed types all the way: the well-formedness checks (whose
+        # scoping walk already checks shapes), typing, the `expect type`
+        # comparison and the verdict all call the unchecked cores.
+        from gobsec.cli import run_corpus_file
+
+        assert "expect type" in (corpus_dir() / name).read_text(encoding="utf-8")
+        calls, result = self.shape_checks(lambda: run_corpus_file(corpus_dir() / name, 0, pairs=25))
+        assert result.passed, result.detail
         assert calls == 0
 
     def test_a_verdicts_stage_is_freed_by_reference_counting(self, monkeypatch):
