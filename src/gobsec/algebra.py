@@ -266,14 +266,12 @@ def msig(delta: TypeVarEnv, u: DeclType, m: str) -> MethodSig:
 
 
 def in_interval(delta: TypeVarEnv, u: DeclType, lo: DeclType, hi: DeclType) -> bool:
-    """`lo <: u <: hi` under `delta` with no subtyping assumptions. The
-    types are ones the package parsed or built, so the subtyping core is
-    called without the public entry point's shape check."""
+    """`lo <: u <: hi` under `delta`, for closed types. The types are ones
+    the package parsed or built, so the subtyping core is called without
+    the public entry point's shape check."""
     from . import subtyping
 
-    return subtyping._sub(delta, frozenset(), lo, u, False, set()) and subtyping._sub(
-        delta, frozenset(), u, hi, False, set()
-    )
+    return subtyping._sub(delta, lo, u, False, set()) and subtyping._sub(delta, u, hi, False, set())
 
 
 # ---------------------------------------------------------------------------

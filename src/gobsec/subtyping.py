@@ -8,8 +8,8 @@ The algorithm is goal-directed:
 * the empty interface is a top: anything is below it;
 * a variable on the left is chased through its upper bound, a variable on
   the right through its lower bound;
-* self variables resolve through the assumption set the caller passes;
-  the algorithm itself never adds to it;
+* a self variable is below only what the caller assumes, and those
+  assumptions seed the in-flight goal set below;
 * primitive kinds sit below object interfaces via their method table,
   compared against the object type's closed record;
 * object-vs-object compares the two closed records (each type's
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from .algebra import _soundsig, meths, rename_tparams, soundsig, type_equiv, unfold
 from .syntax import (
-    EMPTY_SIGMA,
     TOP,
     DeclType,
     Faceted,
@@ -77,8 +76,8 @@ def _goal_key(delta: TypeVarEnv, u1, u2, tag: str) -> tuple:
     # A goal's derivation reads only the bounds of the type variables it can
     # reach: its free ones, closed under their bounds' free variables. Keying
     # on those alone lets a goal that recurs under the parameters of the
-    # signatures passed on the way hit the in-flight set. Sigma is fixed for
-    # the whole derivation, so it needs no place in the key.
+    # signatures passed on the way hit the in-flight set. A goal about a self
+    # variable reaches none, so `_assumed` keys it under an empty delta.
     bounds = {}
     todo = [*free_type_vars(u1), *free_type_vars(u2)]
     while todo:
@@ -106,14 +105,22 @@ def sub_type(
 ) -> bool:
     """Decide `delta; sigma |- u1 <: u2`.
 
-    `sigma` holds only the caller's assumptions about self variables free
-    in `u1` and `u2`, and is empty for closed types: the algorithm never
-    extends it. With `allow_ig` the signature comparison additionally
+    `sigma` holds the caller's assumptions about self variables free in
+    `u1` and `u2` (empty for closed types); they start the derivation as
+    goals in flight. With `allow_ig` the signature comparison additionally
     accepts a sound standard signature above a primitive signature; this
     variant is what the facet-wise well-formedness check uses.
     """
     check_shape(u1, u2)
-    return _sub(delta, sigma, u1, u2, allow_ig, set())
+    return _sub(delta, u1, u2, allow_ig, _assumed(sigma))
+
+
+def _assumed(sigma: SubAssumptions) -> set:
+    """`sigma` as goals in flight, under both tags (`_ig_ok` and `Prim <: ObjType` run under "ig")."""
+    if not sigma:
+        return set()
+    goals = [(SelfVar(a) if side == "self" else Prim(a), SelfVar(b)) for (side, a), b in sigma]
+    return {_goal_key({}, u1, u2, tag) for u1, u2 in goals for tag in ("sub", "ig")}
 
 
 def simple_sub_type(t1, t2) -> bool:
@@ -123,7 +130,7 @@ def simple_sub_type(t1, t2) -> bool:
     then compare by their safety facets alone, signature bounds play no
     role, and every signature is sound. Its callers pass types the
     package parsed or built, so the shape check is left out."""
-    return _sub({}, EMPTY_SIGMA, _erase(t1), _erase(t2), False, set())
+    return _sub({}, _erase(t1), _erase(t2), False, set())
 
 
 def _erase(x):
@@ -149,7 +156,7 @@ def _erase(x):
     return out
 
 
-def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set) -> bool:
+def _sub(delta, u1, u2, allow_ig, in_flight: set) -> bool:
     if type_equiv(u1, u2):
         return True
     if is_top(u2):
@@ -160,30 +167,26 @@ def _sub(delta, sigma, u1, u2, allow_ig, in_flight: set) -> bool:
         return True
     in_flight.add(key)
     try:
-        return _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight)
+        return _sub_dispatch(delta, u1, u2, allow_ig, in_flight)
     finally:
         in_flight.discard(key)
 
 
-def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight) -> bool:
+def _sub_dispatch(delta, u1, u2, allow_ig, in_flight) -> bool:
     # Generic variable on the left: through its upper bound.
     if isinstance(u1, TypeVar):
         if u1.name not in delta:
             raise IllFormedInput(f"unbound type variable {u1.name}")
-        if _sub(delta, sigma, delta[u1.name][1], u2, allow_ig, in_flight):
+        if _sub(delta, delta[u1.name][1], u2, allow_ig, in_flight):
             return True
     # Generic variable on the right: through its lower bound.
     if isinstance(u2, TypeVar):
         if u2.name not in delta:
             raise IllFormedInput(f"unbound type variable {u2.name}")
-        return _sub(delta, sigma, u1, delta[u2.name][0], allow_ig, in_flight)
-    if isinstance(u1, TypeVar):
+        return _sub(delta, u1, delta[u2.name][0], allow_ig, in_flight)
+    # A type variable on the left is done, and an assumed self-variable goal was answered in `_sub`.
+    if isinstance(u1, (TypeVar, SelfVar)) or isinstance(u2, SelfVar):
         return False
-
-    if isinstance(u1, SelfVar):
-        return isinstance(u2, SelfVar) and (("self", u1.name), u2.name) in sigma
-    if isinstance(u2, SelfVar):
-        return isinstance(u1, Prim) and (("prim", u1.kind), u2.name) in sigma
 
     if isinstance(u1, Prim):
         if isinstance(u2, Prim):
@@ -191,10 +194,10 @@ def _sub_dispatch(delta, sigma, u1, u2, allow_ig, in_flight) -> bool:
         # A primitive interface consists of primitive signatures only, so a
         # standard signature above one is accepted exactly when it is a
         # sound declassification of it.
-        return _sub_record(delta, sigma, meths(u1.kind), unfold(u2).methods, True, in_flight)
+        return _sub_record(delta, meths(u1.kind), unfold(u2).methods, True, in_flight)
 
     if isinstance(u1, ObjType) and isinstance(u2, ObjType):
-        return _sub_record(delta, sigma, unfold(u1).methods, unfold(u2).methods, allow_ig, in_flight)
+        return _sub_record(delta, unfold(u1).methods, unfold(u2).methods, allow_ig, in_flight)
 
     # Object type below a primitive kind: no rule.
     return False
@@ -210,16 +213,16 @@ def sub_record(
 ) -> bool:
     """Width and depth subtyping between two method records."""
     check_shape(*(s for _, s in r1), *(s for _, s in r2))
-    return _sub_record(delta, sigma, r1, r2, allow_ig, set())
+    return _sub_record(delta, r1, r2, allow_ig, _assumed(sigma))
 
 
-def _sub_record(delta, sigma, r1, r2, allow_ig, in_flight) -> bool:
+def _sub_record(delta, r1, r2, allow_ig, in_flight) -> bool:
     left = dict(r1)
     for name, sig2 in r2:
         sig1 = left.get(name)
         if sig1 is None:
             return False
-        if not _sub_sig(delta, sigma, sig1, sig2, allow_ig, in_flight):
+        if not _sub_sig(delta, sig1, sig2, allow_ig, in_flight):
             return False
     return True
 
@@ -237,40 +240,40 @@ def sub_sig(
     signatures are below themselves only (and, under `allow_ig`, below
     sound standard signatures)."""
     check_shape(m1, m2)
-    return _sub_sig(delta, sigma, m1, m2, allow_ig, set())
+    return _sub_sig(delta, m1, m2, allow_ig, _assumed(sigma))
 
 
-def _sub_sig(delta, sigma, m1, m2, allow_ig, in_flight) -> bool:
+def _sub_sig(delta, m1, m2, allow_ig, in_flight) -> bool:
     if isinstance(m1, PrimSig) and isinstance(m2, PrimSig):
         return m1 == m2
     if isinstance(m1, PrimSig) and isinstance(m2, GenericSig):
         if not allow_ig:
             return False
-        return _ig_ok(delta, sigma, m1, m2, in_flight)
+        return _ig_ok(delta, m1, m2, in_flight)
     if isinstance(m1, GenericSig) and isinstance(m2, PrimSig):
         return False
-    return _sub_generic(delta, sigma, m1, m2, allow_ig, in_flight)
+    return _sub_generic(delta, m1, m2, allow_ig, in_flight)
 
 
-def _sub_generic(delta, sigma, m1: GenericSig, m2: GenericSig, allow_ig, in_flight) -> bool:
+def _sub_generic(delta, m1: GenericSig, m2: GenericSig, allow_ig, in_flight) -> bool:
     if len(m1.args) != len(m2.args) or len(m1.tparams) != len(m2.tparams):
         return False
     m1, m2 = rename_tparams(m1, f"%X{len(delta)}."), rename_tparams(m2, f"%X{len(delta)}.")
     inner = dict(delta)
     for tp1, tp2 in zip(m1.tparams, m2.tparams):
         # Bounds of the supertype must lie inside the bounds of the subtype.
-        if not _sub(inner, sigma, tp2.upper, tp1.upper, allow_ig, in_flight):
+        if not _sub(inner, tp2.upper, tp1.upper, allow_ig, in_flight):
             return False
-        if not _sub(inner, sigma, tp1.lower, tp2.lower, allow_ig, in_flight):
+        if not _sub(inner, tp1.lower, tp2.lower, allow_ig, in_flight):
             return False
         inner[tp1.name] = (tp2.lower, tp2.upper)
     for a1, a2 in zip(m1.args, m2.args):
-        if not _sub_sectype(inner, sigma, a2, a1, allow_ig, in_flight):
+        if not _sub_sectype(inner, a2, a1, allow_ig, in_flight):
             return False
-    return _sub_sectype(inner, sigma, m1.ret, m2.ret, allow_ig, in_flight)
+    return _sub_sectype(inner, m1.ret, m2.ret, allow_ig, in_flight)
 
 
-def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
+def _ig_ok(delta, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
     """A standard signature declassifying a primitive one: contravariant
     argument safety, covariant return safety, and the signature is sound
     (public primitive arguments or private return)."""
@@ -280,9 +283,9 @@ def _ig_ok(delta, sigma, prim: PrimSig, gen: GenericSig, in_flight) -> bool:
     for tp in gen.tparams:
         inner[tp.name] = (tp.lower, tp.upper)
     for kind, arg in zip(prim.arg_kinds, gen.args):
-        if not _sub(inner, sigma, arg.safety, Prim(kind), True, in_flight):
+        if not _sub(inner, arg.safety, Prim(kind), True, in_flight):
             return False
-    if not _sub(inner, sigma, Prim(prim.ret_kind), gen.ret.safety, True, in_flight):
+    if not _sub(inner, Prim(prim.ret_kind), gen.ret.safety, True, in_flight):
         return False
     return _soundsig(gen)
 
@@ -297,21 +300,20 @@ def sub_sectype(
 ) -> bool:
     """Pointwise subtyping of the two facets."""
     check_shape(s1, s2)
-    return _sub_sectype(delta, sigma, s1, s2, allow_ig, set())
+    return _sub_sectype(delta, s1, s2, allow_ig, _assumed(sigma))
 
 
 def sub_wf_sectype(delta: TypeVarEnv, s1: Faceted, s2: Faceted) -> bool:
-    """`sub_sectype` under no self-variable assumptions and without the
-    shape check, for the checker: its security types come from well-formed
-    annotations and inputs, many of them freshly instantiated, and the
-    check would walk each new one."""
-    return _sub_sectype(delta, EMPTY_SIGMA, s1, s2, False, set())
+    """`sub_sectype` on closed security types and without the shape check,
+    for the checker: its security types come from well-formed annotations
+    and inputs, many of them freshly instantiated, and the check would
+    walk each new one."""
+    return _sub_sectype(delta, s1, s2, False, set())
 
 
-def _sub_sectype(delta, sigma, s1, s2, allow_ig, in_flight) -> bool:
-    return _sub(delta, sigma, s1.safety, s2.safety, allow_ig, in_flight) and _sub(
-        delta, sigma, s1.decl, s2.decl, allow_ig, in_flight
-    )
+def _sub_sectype(delta, s1, s2, allow_ig, in_flight) -> bool:
+    safe = _sub(delta, s1.safety, s2.safety, allow_ig, in_flight)
+    return safe and _sub(delta, s1.decl, s2.decl, allow_ig, in_flight)
 
 
 # ---------------------------------------------------------------------------

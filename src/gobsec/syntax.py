@@ -311,8 +311,8 @@ TypeVarEnv = Mapping[str, tuple[DeclType, DeclType]]
 #: Term environment: name -> security type, insertion-ordered.
 TermEnv = Mapping[str, Faceted]
 
-#: Subtyping assumptions: pairs (left, right-self-var-name) where the left
-#: component is ("self", name) or ("prim", kind).
+#: Subtyping assumptions, pairs (left, right-self-var-name) with left ("self", name)
+#: or ("prim", kind): the oracle extends them, `subtyping._assumed` seeds goals with them.
 SubAssumptions = frozenset
 
 

@@ -8,9 +8,9 @@ order extended with sound declassifications of primitive signatures.
 The subtyping core (`subtyping._sub`) compares the two facets' closed
 records (their unfoldings) itself, so the facets are passed to it as they
 are; the scoping check has already checked their shapes (`wf_type`), so
-the core is called without the public entries' shape check. A policy violating
-that check is rejected with a diagnostic naming the offending method and
-which publicness principle it breaks.
+the cores are called without the public entries' shape check, here and in
+the diagnosis. A policy violating that check is rejected with a diagnostic
+naming the offending method and which publicness principle it breaks.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .algebra import meths, soundsig, unfold
-from .subtyping import _sub, sub_sig
+from .algebra import _soundsig, meths, unfold
+from .subtyping import _sub, _sub_sig
 from .syntax import (
-    EMPTY_SIGMA,
     DeclType,
     Faceted,
     GenericSig,
@@ -97,7 +96,7 @@ def wf_sectype(delta: TypeVarEnv, s: Faceted, issues: list[WfIssue] | None = Non
     if isinstance(s.safety, TypeVar):
         sink.append(WfIssue("error", "BadType", "safety facet cannot be a generic variable"))
         return False
-    if _sub(delta, EMPTY_SIGMA, s.safety, s.decl, True, set()):
+    if _sub(delta, s.safety, s.decl, True, set()):
         return True
     _explain_facets(delta, s.safety, s.decl, sink)
     if len(sink) == before:
@@ -135,7 +134,7 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
             continue
         if isinstance(tsig, PrimSig) and isinstance(usig, GenericSig):
             # Unsound only with a non-public primitive argument (P1).
-            if not soundsig(usig):
+            if not _soundsig(usig):
                 sink.append(
                     WfIssue(
                         "error",
@@ -145,7 +144,7 @@ def _explain_facets(delta: TypeVarEnv, t, u, sink: list[WfIssue]) -> None:
                     )
                 )
                 continue
-        if not sub_sig(delta, EMPTY_SIGMA, tsig, usig, allow_ig=True):
+        if not _sub_sig(delta, tsig, usig, True, set()):
             sink.append(
                 WfIssue("error", "FacetMismatch", f"method {name}: declassified signature is not above the safety signature")
             )
@@ -169,7 +168,7 @@ def wf_tvar_env(delta: TypeVarEnv, issues: list[WfIssue] | None = None) -> bool:
         return False
     for name, (lo, hi) in delta.items():
         if not free_type_vars(lo) and not free_type_vars(hi):
-            if not _sub(delta, EMPTY_SIGMA, lo, hi, False, set()):
+            if not _sub(delta, lo, hi, False, set()):
                 sink.append(
                     WfIssue("warning", "EmptyInterval", f"interval of {name} is empty: lower bound is not below upper bound")
                 )

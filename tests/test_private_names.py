@@ -2,14 +2,17 @@
 package defines at module level (a function, class or assignment) or as a
 method is read somewhere in the package, as a name or an attribute. No
 dead classes: every module-level class is built, subclassed or handed on
-as a keyword value somewhere in the package."""
+as a keyword value somewhere in the package. No threaded assumption set:
+the subtyping algorithm's own functions take no `sigma`."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import gobsec
+import gobsec.subtyping
 
 PACKAGE = Path(gobsec.__file__).parent
 
@@ -70,3 +73,15 @@ def test_every_class_is_used():
                 used.update(_name(b) for b in n.bases)
     assert len(classes) > 30  # the walk found the package's classes
     assert [c for c in classes if c[1] not in used] == []
+
+
+def test_the_subtyping_algorithm_threads_no_assumption_set():
+    # A caller's self-variable assumptions seed the in-flight goal set at
+    # the public entries; the algorithm's own functions keep that one set.
+    algorithm = [
+        name
+        for name, fn in vars(gobsec.subtyping).items()
+        if inspect.isfunction(fn) and (name.startswith("_sub") or name == "_ig_ok")
+    ]
+    assert len(algorithm) == 7, algorithm
+    assert [n for n in algorithm if "sigma" in inspect.signature(getattr(gobsec.subtyping, n)).parameters] == []

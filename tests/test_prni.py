@@ -667,6 +667,26 @@ class TestStagedWork:
         assert result.passed, result.detail
         assert calls == 0
 
+    def test_a_failed_facet_check_is_diagnosed_without_shape_checks(self):
+        # The per-method diagnosis runs after the scoping walk has checked
+        # the shapes, so it calls the unchecked cores as the check does.
+        from gobsec.cli import run_corpus_file
+        from gobsec.wellformed import wf_sectype
+
+        calls, result = self.shape_checks(lambda: run_corpus_file(corpus_dir() / "wf_eq_bad.gobsec", 0, pairs=25))
+        assert result.passed and result.detail == (
+            "ill-formed environment: variable p: method eq: a standard signature over a primitive "
+            "must take public primitive arguments or return a private result"
+        )
+        assert calls == 0
+        issues: list = []
+        s = parse_sectype("Obj(a)[ m : Int! -> Int! ]<Obj(b)[ m : Int! -> String! ]>")
+        calls, ok = self.shape_checks(lambda: wf_sectype({}, s, issues))
+        assert not ok and [(i.code, i.message) for i in issues] == [
+            ("FacetMismatch", "method m: declassified signature is not above the safety signature")
+        ]
+        assert calls == 0
+
     def test_a_verdicts_stage_is_freed_by_reference_counting(self, monkeypatch):
         # Nothing the stage keeps refers back to it, so it goes with the
         # verdict even with the cycle collector off. (The `_Row.node` links
